@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <optional>
+#include <string>
 
 #include "core/config.hpp"
 #include "core/distributed_sampler.hpp"
@@ -16,6 +19,7 @@
 #include "graph/spanner_check.hpp"
 #include "sim/congest.hpp"
 #include "util/rng.hpp"
+#include "trace_hash.hpp"
 
 namespace fl {
 namespace {
@@ -210,6 +214,138 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<graph::Family>& info) {
       return graph::family_name(info.param);
     });
+
+// RAII env override that restores the ambient value (the network probes
+// FL_SIM_THREADS at construction).
+class EnvGuard {
+ public:
+  EnvGuard(const char* name, const std::string& value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    setenv(name, value.c_str(), 1);
+  }
+  ~EnvGuard() {
+    if (old_) {
+      setenv(name_, old_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  EnvGuard(const EnvGuard&) = delete;
+  EnvGuard& operator=(const EnvGuard&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// FNV-1a over everything a distributed run reports as a model field: the
+/// spanner, rounds/messages/words, the role breakdown and the per-level
+/// diagnostics.
+std::uint64_t run_fingerprint(const core::DistributedSpannerRun& run) {
+  testing::TraceHash h;
+  h.u64(run.edges.size());
+  for (const auto e : run.edges) h.u64(e);
+  h.u64(run.stats.terminated ? 1 : 0)
+      .u64(run.stats.rounds)
+      .u64(run.stats.messages)
+      .u64(run.metrics.words_total);
+  h.u64(run.breakdown.queries)
+      .u64(run.breakdown.tree_sessions)
+      .u64(run.breakdown.center)
+      .u64(run.breakdown.control);
+  h.u64(run.levels.size());
+  for (const auto& lt : run.levels) {
+    h.u64(lt.level)
+        .u64(lt.virtual_nodes)
+        .u64(lt.virtual_edges)
+        .u64(lt.light)
+        .u64(lt.heavy)
+        .u64(lt.neither)
+        .u64(lt.centers)
+        .u64(lt.clustered)
+        .u64(lt.unclustered)
+        .u64(lt.query_edges)
+        .u64(lt.spanner_added)
+        .u64(lt.trials_run_total);
+    h.u64(lt.cluster_of.size());
+    for (const auto c : lt.cluster_of) h.u64(c);
+    h.u64(lt.representative.size());
+    for (const auto r : lt.representative) h.u64(r);
+  }
+  return h.value();
+}
+
+TEST(DistributedSampler, OutputFingerprintPinned) {
+  // Bit-for-bit anchor of the Sampler's observable output. Speed-ups of
+  // the protocol's step code (peeling, tree bookkeeping) must leave every
+  // value below unchanged; a moved hash means the protocol now builds a
+  // different spanner or sends different traffic. Each constant folds one
+  // (graph, budget) row over k×h, barrier mode and lane count; the lane
+  // count must not matter, so 1 and 4 lanes fold the same value twice.
+  util::Xoshiro256 rng(211);
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"K_40", graph::complete(40)},
+      {"ER_120", graph::erdos_renyi_gnm(120, 900, rng)},
+      {"tree_90", graph::random_tree(90, rng)},
+      {"path_2", graph::path(2)},
+      {"ring_3", graph::ring(3)},
+  };
+  // 0 = plain LOCAL (pinned, so an ambient FL_SIM_CONGEST cannot leak in).
+  const std::uint64_t budgets[] = {0, 2, 8};
+  const std::vector<std::pair<unsigned, unsigned>> kh = {{1, 2}, {2, 2}};
+  // Graphs this small admit only k = h = 1 (k <= log log n, h <= log n).
+  const std::vector<std::pair<unsigned, unsigned>> kh_tiny = {{1, 1}};
+  const core::BarrierMode barriers[] = {core::BarrierMode::FixedSchedule,
+                                        core::BarrierMode::EventDriven};
+  // Rows follow `graphs`; columns are the budgets LOCAL, 2 and 8 words.
+  const std::uint64_t want[5][3] = {
+      {0x5fdf5d2667524435ull, 0x35fdc6ec5b2d7349ull, 0x189f2ab91421476dull},
+      {0x2404caed3702b7ddull, 0xc34fcb6b45d61d59ull, 0xec8e639034f07d3dull},
+      {0xbfabb1a2e00efd49ull, 0x2bbe6cc8ff6bc991ull, 0xfbfcd537c6058d05ull},
+      {0xa9ada106c54c389dull, 0x68acf20db18f7295ull, 0xa9ada106c54c389dull},
+      {0x419cb9fc97002259ull, 0xf4844e8f8ac9bbedull, 0x419cb9fc97002259ull},
+  };
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const auto& [name, g] = graphs[gi];
+    for (std::size_t bi = 0; bi < 3; ++bi) {
+      const std::uint64_t budget = budgets[bi];
+      testing::TraceHash row;
+      for (const auto& [k, h] : g.num_nodes() < 8 ? kh_tiny : kh) {
+        for (const auto barrier : barriers) {
+          auto cfg = SamplerConfig::bench_profile(k, h, 1000 + 10 * k + h);
+          cfg.barriers = barrier;
+          cfg.congest =
+              budget == 0
+                  ? sim::CongestConfig{}
+                  : sim::CongestConfig{budget, sim::CongestPolicy::Defer};
+          // Unstretched windows: under a binding budget the fixed
+          // timetable overruns them, so late-traffic paths are pinned too.
+          std::optional<std::uint64_t> first;
+          for (const unsigned lanes : {1u, 4u}) {
+            const EnvGuard env("FL_SIM_THREADS", std::to_string(lanes));
+            const auto run = core::run_distributed_sampler(g, cfg);
+            const std::uint64_t fp = run_fingerprint(run);
+            const std::string at =
+                name + " budget=" + std::to_string(budget) +
+                " k=" + std::to_string(k) + " h=" + std::to_string(h) +
+                " barrier=" + std::to_string(static_cast<int>(barrier)) +
+                " lanes=" + std::to_string(lanes);
+            ASSERT_TRUE(run.stats.terminated) << at;
+            if (first) {
+              EXPECT_EQ(fp, *first) << at;
+            } else {
+              first = fp;
+            }
+            row.u64(fp);
+          }
+        }
+      }
+      EXPECT_EQ(row.value(), want[gi][bi])
+          << name << " budget=" << budget << " got 0x" << std::hex
+          << row.value();
+    }
+  }
+}
 
 TEST(DistributedSampler, WorksOnTinyGraphs) {
   const auto cfg = SamplerConfig::paper_faithful(1, 1, 97);
