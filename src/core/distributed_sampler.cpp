@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <unordered_set>
+#include <utility>
 
 #include "sim/wire_check.hpp"
 #include "util/assert.hpp"
@@ -17,15 +17,121 @@ using graph::EdgeId;
 using graph::kInvalidEdge;
 using graph::kInvalidNode;
 using graph::NodeId;
+using detail::kNoSlot;
+
+// ------------------------------------------------------------ peel kernels
+
+namespace {
+
+void pool_swap_remove(std::vector<std::size_t>& pool,
+                      std::vector<std::size_t>& pool_pos, std::size_t s) {
+  const std::size_t p = pool_pos[s];
+  if (p == kNoSlot) return;
+  const std::size_t last = pool.back();
+  pool[p] = last;
+  pool_pos[last] = p;
+  pool.pop_back();
+  pool_pos[s] = kNoSlot;
+}
+
+/// Membership in a sorted vector without data-dependent branches: the
+/// probes of independent lookups overlap instead of stalling on
+/// mispredicted compares.
+bool sorted_contains(const std::vector<EdgeId>& v, EdgeId x) {
+  if (v.empty()) return false;
+  const EdgeId* base = v.data();
+  for (std::size_t n = v.size(); n > 1;) {
+    const std::size_t half = n / 2;
+    base = base[half] <= x ? base + half : base;
+    n -= half;
+  }
+  return *base == x;
+}
+
+/// std::lower_bound for a cursor that moves forward in small steps: probe
+/// 1, 3, 7, ... ahead, then binary-search only the last gap, so a lookup
+/// costs O(log distance) rather than O(log remaining).
+template <typename It, typename T>
+It gallop_lower_bound(It first, It last, const T& x) {
+  if (first == last || !(*first < x)) return first;
+  const std::ptrdiff_t n = last - first;
+  std::ptrdiff_t lo = 0;  // first[lo] < x
+  std::ptrdiff_t hi = 1;
+  while (hi < n && first[hi] < x) {
+    lo = hi;
+    hi = 2 * hi + 1;
+  }
+  return std::lower_bound(first + lo + 1, first + std::min(hi, n), x);
+}
+
+}  // namespace
+
+void detail::peel_sorted(const std::vector<EdgeId>& inc,
+                         std::vector<std::size_t>& pool,
+                         std::vector<std::size_t>& pool_pos,
+                         const std::vector<EdgeId>& list) {
+  if (pool.empty()) return;
+  if (list.size() <= pool.size()) {
+    // Short list: look each listed edge up among the incident edges. Both
+    // are sorted, so the hit slots come out ascending.
+    auto from = inc.begin();
+    for (const EdgeId e : list) {
+      from = gallop_lower_bound(from, inc.end(), e);
+      if (from == inc.end()) return;
+      if (*from == e)
+        pool_swap_remove(pool, pool_pos,
+                         static_cast<std::size_t>(from - inc.begin()));
+    }
+    return;
+  }
+  // Long list: look each pooled edge up in the list instead, then remove
+  // the hits in the same ascending slot order as the short-list loop.
+  std::vector<std::size_t> hits;
+  for (const std::size_t s : pool)
+    if (sorted_contains(list, inc[s])) hits.push_back(s);
+  std::sort(hits.begin(), hits.end());
+  for (const std::size_t s : hits) pool_swap_remove(pool, pool_pos, s);
+}
+
+void detail::erase_sorted(std::vector<EdgeId>& pool,
+                          const std::vector<EdgeId>& list) {
+  if (pool.empty() || list.empty()) return;
+  auto out = pool.begin();
+  if (list.size() < pool.size()) {
+    // Short list: find each listed edge in the pool from a forward cursor
+    // and close the gap behind it. Until the first hit `out` == `kept`.
+    auto kept = pool.begin();  // first element not yet moved into place
+    auto from = pool.begin();  // lookup cursor, never behind `kept`
+    for (const EdgeId e : list) {
+      from = gallop_lower_bound(from, pool.end(), e);
+      if (from == pool.end()) break;
+      if (*from != e) continue;
+      out = out == kept ? from : std::move(kept, from, out);
+      kept = ++from;
+    }
+    out = out == kept ? pool.end() : std::move(kept, pool.end(), out);
+  } else {
+    // Long list: one pass over the pool, a lower_bound cursor moving
+    // forward through the list.
+    auto from = list.begin();
+    for (const EdgeId e : pool) {
+      from = gallop_lower_bound(from, list.end(), e);
+      if (from == list.end() || *from != e) *out++ = e;
+    }
+  }
+  pool.erase(out, pool.end());
+}
 
 namespace {
 
 constexpr std::uint64_t kCenterCoinLabel = 1'000'000'000ULL;
 constexpr std::size_t kExhaustiveFactor = 16;
-constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
 
 // ------------------------------------------------------------- payloads
 
+/// A cluster's boundary edge-ID list. Every list is sorted ascending when
+/// it is created (on_start, finish_gather) and is shared immutably from
+/// then on, so the peels can intersect it without re-sorting.
 using EdgeList = std::shared_ptr<const std::vector<EdgeId>>;
 
 struct MsgSetup {};  // FloodSetup: establishes the per-level tree parent
@@ -49,14 +155,15 @@ struct MsgQuery {};  // over a sampled boundary edge
 struct MsgQueryReply {
   bool alive = true;
   NodeId cluster = kInvalidNode;
-  EdgeList boundary;  ///< responder cluster's full incident edge-ID list
+  EdgeList boundary;  ///< responder cluster's full incident edge-ID list,
+                      ///< sorted ascending and shared immutably
 };
 
 struct Found {  // one discovered neighbour cluster
   NodeId cluster = kInvalidNode;
   bool alive = true;
   EdgeId via = kInvalidEdge;
-  EdgeList list;
+  EdgeList list;  ///< its boundary, sorted ascending and shared immutably
 };
 
 struct MsgCollectUp {  // echo: discovered neighbours of a subtree
@@ -98,7 +205,7 @@ struct MsgJoin {
 struct MsgAttach {};  // marks the attach edge as a tree edge on the far side
 
 struct MsgDeath {  // dying cluster announces over its F_v edges
-  EdgeList boundary;
+  EdgeList boundary;  ///< sorted ascending and shared immutably
 };
 
 // Field-by-field wire framing for every non-empty payload (the empty
@@ -219,7 +326,7 @@ class SamplerNode final : public sim::NodeProgram {
     std::sort(inc_.begin(), inc_.end());
     const std::size_t deg = inc_.size();
     flag_spanner_.assign(deg, false);
-    flag_tree_.assign(deg, false);
+    tree_slots_.clear();
     flag_f_edge_.assign(deg, false);
     pool_pos_.assign(deg, kNoSlot);
     pool_.clear();
@@ -234,6 +341,8 @@ class SamplerNode final : public sim::NodeProgram {
     queries_per_level_.assign(cfg_.k + 1, 0);
     // Level 0 boundary: all incident edges (a simple graph has no intra).
     boundary_ = std::make_shared<const std::vector<EdgeId>>(inc_);
+    FL_ENSURE(std::is_sorted(boundary_->begin(), boundary_->end()),
+              "boundary lists are sorted (the peels rely on it)");
     rebuild_root_pool();
   }
 
@@ -292,43 +401,33 @@ class SamplerNode final : public sim::NodeProgram {
     return static_cast<std::size_t>(it - inc_.begin());
   }
 
-  void pool_remove_slot(std::size_t s) {
-    const std::size_t p = pool_pos_[s];
-    if (p == kNoSlot) return;
-    const std::size_t last = pool_.back();
-    pool_[p] = last;
-    pool_pos_[last] = p;
-    pool_.pop_back();
-    pool_pos_[s] = kNoSlot;
+  /// Remove every own pool edge that appears in the sorted `list`.
+  void peel_list(const std::vector<EdgeId>& list) {
+    detail::peel_sorted(inc_, pool_, pool_pos_, list);
   }
 
-  /// Remove every own pool edge that appears in `list`.
-  void peel_list(const std::vector<EdgeId>& list) {
-    for (const EdgeId e : list) {
-      const std::size_t s = slot_of(e);
-      if (s != kNoSlot) pool_remove_slot(s);
-    }
+  /// Mark slot `s` as a cluster-tree edge, keeping tree_slots_ ascending.
+  void mark_tree_slot(std::size_t s) {
+    const auto it =
+        std::lower_bound(tree_slots_.begin(), tree_slots_.end(), s);
+    if (it == tree_slots_.end() || *it != s) tree_slots_.insert(it, s);
   }
 
   // ---------------------------------------------------- root pool model
   void rebuild_root_pool() {
     root_pool_.clear();
     if (!is_root_ || boundary_ == nullptr) return;
-    root_pool_.insert(boundary_->begin(), boundary_->end());
-  }
-
-  void root_peel(const std::vector<EdgeId>& list) {
-    for (const EdgeId e : list) root_pool_.erase(e);
+    root_pool_.assign(boundary_->begin(), boundary_->end());
   }
 
   // --------------------------------------------------------- messaging
   /// Payloads are move-only, so flooding sends one copy of the (cheaply
-  /// copyable) payload struct per child edge.
+  /// copyable) payload struct per child edge, in ascending slot order.
   template <typename Msg>
   void flood_to_children(sim::Context& ctx, const Msg& payload,
                          std::uint32_t words) {
-    for (std::size_t s = 0; s < inc_.size(); ++s)
-      if (flag_tree_[s] && inc_[s] != parent_edge_) {
+    for (const std::size_t s : tree_slots_)
+      if (inc_[s] != parent_edge_) {
         ctx.send(inc_[s], payload, words);
         ++sent_.tree_sessions;
       }
@@ -363,6 +462,8 @@ class SamplerNode final : public sim::NodeProgram {
       FL_ENSURE(j - i <= 2, "an edge has at most two endpoints in a cluster");
       i = j;
     }
+    FL_ENSURE(std::is_sorted(out->begin(), out->end()),
+              "boundary lists are sorted (the peels rely on it)");
     boundary_ = std::move(out);
     gather_acc_.reset();
     echo_kind_ = EchoKind::None;
@@ -408,7 +509,7 @@ class SamplerNode final : public sim::NodeProgram {
         known_neighbors_.insert(f.cluster);
         decision.via = kInvalidEdge;  // dead: peel only, no F_v edge
       }
-      if (decision.list) root_peel(*decision.list);
+      if (decision.list) detail::erase_sorted(root_pool_, *decision.list);
       apply->push_back(std::move(decision));
     }
     collect_acc_.reset();
@@ -641,7 +742,7 @@ class SamplerNode final : public sim::NodeProgram {
     if (!alive_ || attach_to_send_ == kInvalidEdge) return;
     const std::size_t s = slot_of(attach_to_send_);
     FL_ENSURE(s != kNoSlot, "attach edge must be incident");
-    flag_tree_[s] = true;
+    mark_tree_slot(s);
     ctx.send(attach_to_send_, MsgAttach{}, 1);
     ++sent_.control;
     attach_to_send_ = kInvalidEdge;
@@ -664,11 +765,7 @@ class SamplerNode final : public sim::NodeProgram {
 
   // ----------------------------------------------------- phase helpers
   std::size_t children_count() const {
-    std::size_t deg = 0;
-    for (std::size_t s = 0; s < inc_.size(); ++s)
-      if (flag_tree_[s]) ++deg;
-    if (parent_edge_ != kInvalidEdge) --deg;
-    return deg;
+    return tree_slots_.size() - (parent_edge_ != kInvalidEdge ? 1 : 0);
   }
 
   void apply_boundary(const std::vector<EdgeId>& boundary) {
@@ -676,8 +773,8 @@ class SamplerNode final : public sim::NodeProgram {
     // intra-cluster edges discovered by the duplicate count at the root).
     for (std::size_t i = 0; i < pool_.size();) {
       const std::size_t s = pool_[i];
-      if (!std::binary_search(boundary.begin(), boundary.end(), inc_[s])) {
-        pool_remove_slot(s);  // swap-removes; re-examine index i
+      if (!sorted_contains(boundary, inc_[s])) {
+        pool_swap_remove(pool_, pool_pos_, s);  // re-examine index i
       } else {
         ++i;
       }
@@ -818,7 +915,7 @@ class SamplerNode final : public sim::NodeProgram {
     if (sim::payload_if<MsgAttach>(msg) != nullptr) {
       const std::size_t s = slot_of(msg.edge());
       FL_ENSURE(s != kNoSlot, "attach over non-incident edge");
-      flag_tree_[s] = true;
+      mark_tree_slot(s);
       return;
     }
     if (const auto* d = sim::payload_if<MsgDeath>(msg)) {
@@ -874,7 +971,7 @@ class SamplerNode final : public sim::NodeProgram {
   // incident-edge slots
   std::vector<EdgeId> inc_;  // sorted
   std::vector<bool> flag_spanner_;
-  std::vector<bool> flag_tree_;
+  std::vector<std::size_t> tree_slots_;  // cluster-tree edges, ascending
   std::vector<bool> flag_f_edge_;
   std::vector<std::size_t> pool_pos_;
   std::vector<std::size_t> pool_;
@@ -899,7 +996,7 @@ class SamplerNode final : public sim::NodeProgram {
   std::shared_ptr<std::vector<Found>> pending_apply_;
 
   // root bookkeeping
-  std::unordered_set<EdgeId> root_pool_;
+  std::vector<EdgeId> root_pool_;  // sorted; only size()/empty() are read
   std::unordered_set<NodeId> known_neighbors_;
   std::vector<std::pair<NodeId, EdgeId>> f_entries_;
   NodeId chosen_center_ = kInvalidNode;

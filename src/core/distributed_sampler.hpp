@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -119,6 +120,30 @@ struct DistributedSpannerRun {
 /// internally with Knowledge::EdgeIds (the paper's model).
 DistributedSpannerRun run_distributed_sampler(
     const graph::Graph& g, const SamplerConfig& cfg);
+
+namespace detail {
+
+/// `pool_pos[s]` of a slot that is not in the pool.
+inline constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
+
+/// Member-side peel: swap-remove from `pool` every slot whose edge
+/// `inc[slot]` appears in `list`. `inc` and `list` are sorted ascending;
+/// `pool_pos[s]` is slot s's position in `pool`, or kNoSlot. Removals
+/// happen in ascending slot order, so the pool's final *order* — which
+/// query sampling indexes by position — is a function of the inputs
+/// alone. Costs O(min(|pool|, |list|) · log) plus the hit sort.
+void peel_sorted(const std::vector<graph::EdgeId>& inc,
+                 std::vector<std::size_t>& pool,
+                 std::vector<std::size_t>& pool_pos,
+                 const std::vector<graph::EdgeId>& list);
+
+/// Root-side peel: erase from the sorted `pool` every edge in the sorted
+/// `list`, compacting in place and keeping the pool sorted. The smaller
+/// side drives the lookups.
+void erase_sorted(std::vector<graph::EdgeId>& pool,
+                  const std::vector<graph::EdgeId>& list);
+
+}  // namespace detail
 
 /// Wire round-trip self-check for all 18 sampler payload structs (they
 /// live in the .cpp's anonymous namespace; tests call this hook).

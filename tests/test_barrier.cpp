@@ -14,12 +14,12 @@
 //     stays neutral with the barrier active.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/distributed_sampler.hpp"
+#include "env_guard.hpp"
 #include "graph/generators.hpp"
 #include "sim/congest.hpp"
 #include "sim/network.hpp"
@@ -34,19 +34,7 @@ using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
 
-// RAII env override (the network probes FL_SIM_* at construction).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const std::string& value) : name_(name) {
-    setenv(name, value.c_str(), 1);
-  }
-  ~EnvGuard() { unsetenv(name_); }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-};
+using testing::EnvGuard;
 
 Graph family_graph(const std::string& family) {
   util::Xoshiro256 rng(29);

@@ -6,20 +6,24 @@
 // the simulator's own metering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/config.hpp"
 #include "core/distributed_sampler.hpp"
 #include "core/sampler.hpp"
+#include "env_guard.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/spanner_check.hpp"
 #include "sim/congest.hpp"
-#include "util/rng.hpp"
 #include "trace_hash.hpp"
+#include "util/rng.hpp"
 
 namespace fl {
 namespace {
@@ -27,6 +31,7 @@ namespace {
 using core::SamplerConfig;
 using core::Schedule;
 using graph::Graph;
+using testing::EnvGuard;
 
 TEST(Schedule, RoundBoundMatchesTheorem11) {
   // Schedule length must be O(3^k · h): concretely it is
@@ -215,29 +220,6 @@ INSTANTIATE_TEST_SUITE_P(
       return graph::family_name(info.param);
     });
 
-// RAII env override that restores the ambient value (the network probes
-// FL_SIM_THREADS at construction).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const std::string& value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    setenv(name, value.c_str(), 1);
-  }
-  ~EnvGuard() {
-    if (old_) {
-      setenv(name_, old_->c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
-
 /// FNV-1a over everything a distributed run reports as a model field: the
 /// spanner, rounds/messages/words, the role breakdown and the per-level
 /// diagnostics.
@@ -355,6 +337,184 @@ TEST(DistributedSampler, WorksOnTinyGraphs) {
   const Graph tri = graph::ring(3);
   const auto run3 = core::run_distributed_sampler(tri, cfg);
   EXPECT_GE(run3.edges.size(), 2u);
+}
+
+// --------------------------------------------------- peel kernel fuzzing
+
+using core::detail::kNoSlot;
+using graph::EdgeId;
+
+/// The per-list-element member peel the kernel replaced: look every listed
+/// edge up among the incident edges and swap-remove its slot.
+void reference_peel(const std::vector<EdgeId>& inc,
+                    std::vector<std::size_t>& pool,
+                    std::vector<std::size_t>& pool_pos,
+                    const std::vector<EdgeId>& list) {
+  for (const EdgeId e : list) {
+    const auto it = std::lower_bound(inc.begin(), inc.end(), e);
+    if (it == inc.end() || *it != e) continue;
+    const auto s = static_cast<std::size_t>(it - inc.begin());
+    const std::size_t p = pool_pos[s];
+    if (p == kNoSlot) continue;
+    const std::size_t last = pool.back();
+    pool[p] = last;
+    pool_pos[last] = p;
+    pool.pop_back();
+    pool_pos[s] = kNoSlot;
+  }
+}
+
+/// Sorted, duplicate-free sample of `universe`, each element kept with
+/// probability `p`.
+std::vector<EdgeId> sorted_sample(const std::vector<EdgeId>& universe,
+                                  double p, util::Xoshiro256& rng) {
+  std::vector<EdgeId> out;
+  for (const EdgeId e : universe)
+    if (rng.bernoulli(p)) out.push_back(e);
+  return out;
+}
+
+struct PeelCase {
+  std::vector<EdgeId> inc;
+  std::vector<std::size_t> pool;
+  std::vector<std::size_t> pool_pos;
+  std::vector<EdgeId> list;
+};
+
+/// A node's `deg` incident edges drawn from 0..4·deg, a pool shuffled by a
+/// random history of swap-removes (as the protocol leaves it), and a list
+/// mixing incident and foreign edges at the given densities.
+PeelCase random_case(std::size_t deg, double keep, double list_inc,
+                     double list_foreign, util::Xoshiro256& rng) {
+  std::vector<EdgeId> universe(4 * deg + 1);
+  for (std::size_t i = 0; i < universe.size(); ++i)
+    universe[i] = static_cast<EdgeId>(i);
+  PeelCase c;
+  while (c.inc.size() < deg) c.inc = sorted_sample(universe, 0.25, rng);
+  c.inc.resize(deg);
+  c.pool_pos.assign(deg, kNoSlot);
+  for (std::size_t s = 0; s < deg; ++s) {
+    c.pool_pos[s] = c.pool.size();
+    c.pool.push_back(s);
+  }
+  std::vector<EdgeId> drop;
+  for (const EdgeId e : c.inc)
+    if (!rng.bernoulli(keep)) drop.push_back(e);
+  util::shuffle(drop, rng);
+  for (const EdgeId e : drop) reference_peel(c.inc, c.pool, c.pool_pos, {e});
+  std::vector<EdgeId> foreign;
+  std::set_difference(universe.begin(), universe.end(), c.inc.begin(),
+                      c.inc.end(), std::back_inserter(foreign));
+  const auto a = sorted_sample(c.inc, list_inc, rng);
+  const auto b = sorted_sample(foreign, list_foreign, rng);
+  std::merge(a.begin(), a.end(), b.begin(), b.end(),
+             std::back_inserter(c.list));
+  return c;
+}
+
+void expect_peel_matches_reference(const PeelCase& c, const std::string& at) {
+  auto want = c;
+  reference_peel(want.inc, want.pool, want.pool_pos, want.list);
+  auto got = c;
+  core::detail::peel_sorted(got.inc, got.pool, got.pool_pos, got.list);
+  // Element for element, in order: query sampling indexes the pool by
+  // position, so the same set in another order is a different protocol.
+  EXPECT_EQ(got.pool, want.pool) << at;
+  EXPECT_EQ(got.pool_pos, want.pool_pos) << at;
+}
+
+void expect_erase_matches_set_difference(const std::vector<EdgeId>& pool,
+                                         const std::vector<EdgeId>& list,
+                                         const std::string& at) {
+  std::vector<EdgeId> want;
+  std::set_difference(pool.begin(), pool.end(), list.begin(), list.end(),
+                      std::back_inserter(want));
+  auto got = pool;
+  core::detail::erase_sorted(got, list);
+  EXPECT_EQ(got, want) << at;
+}
+
+TEST(PeelKernel, MemberPeelMatchesPerElementLoop) {
+  util::Xoshiro256 rng(4049);
+  // (deg, pool keep rate, listed share of incident edges, foreign density)
+  // spanning list << pool, list ~ pool and list >> pool.
+  const struct {
+    std::size_t deg;
+    double keep, list_inc, list_foreign;
+  } shapes[] = {
+      {1, 1.0, 1.0, 0.0},    {2, 0.5, 0.5, 0.5},   {16, 1.0, 0.1, 0.0},
+      {16, 0.2, 0.9, 1.0},   {64, 0.9, 0.5, 0.05}, {64, 0.05, 0.5, 0.9},
+      {200, 0.5, 0.02, 0.0}, {200, 0.02, 1.0, 1.0}, {500, 0.7, 0.3, 0.3},
+  };
+  for (int rep = 0; rep < 40; ++rep) {
+    for (const auto& sh : shapes) {
+      const auto c =
+          random_case(sh.deg, sh.keep, sh.list_inc, sh.list_foreign, rng);
+      expect_peel_matches_reference(
+          c, "deg=" + std::to_string(sh.deg) + " rep=" + std::to_string(rep) +
+                 " pool=" + std::to_string(c.pool.size()) +
+                 " list=" + std::to_string(c.list.size()));
+    }
+  }
+}
+
+TEST(PeelKernel, MemberPeelEdgeCases) {
+  util::Xoshiro256 rng(4051);
+  auto c = random_case(50, 0.6, 0.0, 0.0, rng);
+  // Empty list; empty pool; identical (list = every incident edge); list
+  // disjoint from the incident edges, shorter and longer than the pool.
+  expect_peel_matches_reference(c, "empty list");
+  auto empty_pool = c;
+  empty_pool.pool.clear();
+  std::fill(empty_pool.pool_pos.begin(), empty_pool.pool_pos.end(), kNoSlot);
+  empty_pool.list = empty_pool.inc;
+  expect_peel_matches_reference(empty_pool, "empty pool");
+  auto identical = c;
+  identical.list = identical.inc;
+  expect_peel_matches_reference(identical, "identical");
+  for (const std::size_t len : {std::size_t{3}, std::size_t{1000}}) {
+    auto disjoint = c;
+    for (std::size_t i = 0; i < len; ++i)
+      disjoint.list.push_back(static_cast<EdgeId>(10'000 + 2 * i));
+    expect_peel_matches_reference(disjoint,
+                                  "disjoint len=" + std::to_string(len));
+  }
+  // Only the smallest and only the largest incident edge.
+  for (const EdgeId e : {c.inc.front(), c.inc.back()}) {
+    auto one = c;
+    one.list = {e};
+    expect_peel_matches_reference(one, "single edge " + std::to_string(e));
+  }
+}
+
+TEST(PeelKernel, RootEraseMatchesSetDifference) {
+  util::Xoshiro256 rng(4057);
+  std::vector<EdgeId> universe(3000);
+  for (std::size_t i = 0; i < universe.size(); ++i)
+    universe[i] = static_cast<EdgeId>(i);
+  const double densities[] = {0.0, 0.001, 0.01, 0.1, 0.5, 1.0};
+  for (int rep = 0; rep < 10; ++rep) {
+    for (const double pd : densities) {
+      for (const double ld : densities) {
+        const auto pool = sorted_sample(universe, pd, rng);
+        const auto list = sorted_sample(universe, ld, rng);
+        expect_erase_matches_set_difference(
+            pool, list,
+            "pool=" + std::to_string(pool.size()) +
+                " list=" + std::to_string(list.size()));
+        // A list that is a subset of the pool, and the pool itself.
+        expect_erase_matches_set_difference(
+            pool, sorted_sample(pool, 0.3, rng), "subset");
+        expect_erase_matches_set_difference(pool, pool, "identical");
+      }
+    }
+  }
+  expect_erase_matches_set_difference({}, {1, 2}, "empty pool");
+  expect_erase_matches_set_difference({1, 2}, {}, "empty list");
+  expect_erase_matches_set_difference({1, 2}, {0, 3}, "disjoint, outside");
+  expect_erase_matches_set_difference({1, 5}, {2, 3, 4}, "disjoint, inside");
+  expect_erase_matches_set_difference({1, 2, 3}, {1}, "first");
+  expect_erase_matches_set_difference({1, 2, 3}, {3}, "last");
 }
 
 }  // namespace
