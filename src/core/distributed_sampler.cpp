@@ -48,22 +48,6 @@ bool sorted_contains(const std::vector<EdgeId>& v, EdgeId x) {
   return *base == x;
 }
 
-/// std::lower_bound for a cursor that moves forward in small steps: probe
-/// 1, 3, 7, ... ahead, then binary-search only the last gap, so a lookup
-/// costs O(log distance) rather than O(log remaining).
-template <typename It, typename T>
-It gallop_lower_bound(It first, It last, const T& x) {
-  if (first == last || !(*first < x)) return first;
-  const std::ptrdiff_t n = last - first;
-  std::ptrdiff_t lo = 0;  // first[lo] < x
-  std::ptrdiff_t hi = 1;
-  while (hi < n && first[hi] < x) {
-    lo = hi;
-    hi = 2 * hi + 1;
-  }
-  return std::lower_bound(first + lo + 1, first + std::min(hi, n), x);
-}
-
 }  // namespace
 
 void detail::peel_sorted(const std::vector<EdgeId>& inc,
@@ -76,7 +60,7 @@ void detail::peel_sorted(const std::vector<EdgeId>& inc,
     // are sorted, so the hit slots come out ascending.
     auto from = inc.begin();
     for (const EdgeId e : list) {
-      from = gallop_lower_bound(from, inc.end(), e);
+      from = std::lower_bound(from, inc.end(), e);
       if (from == inc.end()) return;
       if (*from == e)
         pool_swap_remove(pool, pool_pos,
@@ -85,8 +69,10 @@ void detail::peel_sorted(const std::vector<EdgeId>& inc,
     return;
   }
   // Long list: look each pooled edge up in the list instead, then remove
-  // the hits in the same ascending slot order as the short-list loop.
-  std::vector<std::size_t> hits;
+  // the hits in the same ascending slot order as the short-list loop. The
+  // hit buffer is reused across calls on the same lane.
+  thread_local std::vector<std::size_t> hits;
+  hits.clear();
   for (const std::size_t s : pool)
     if (sorted_contains(list, inc[s])) hits.push_back(s);
   std::sort(hits.begin(), hits.end());
@@ -95,29 +81,13 @@ void detail::peel_sorted(const std::vector<EdgeId>& inc,
 
 void detail::erase_sorted(std::vector<EdgeId>& pool,
                           const std::vector<EdgeId>& list) {
-  if (pool.empty() || list.empty()) return;
+  // One pass over the pool, a lower_bound cursor moving forward through
+  // the list.
   auto out = pool.begin();
-  if (list.size() < pool.size()) {
-    // Short list: find each listed edge in the pool from a forward cursor
-    // and close the gap behind it. Until the first hit `out` == `kept`.
-    auto kept = pool.begin();  // first element not yet moved into place
-    auto from = pool.begin();  // lookup cursor, never behind `kept`
-    for (const EdgeId e : list) {
-      from = gallop_lower_bound(from, pool.end(), e);
-      if (from == pool.end()) break;
-      if (*from != e) continue;
-      out = out == kept ? from : std::move(kept, from, out);
-      kept = ++from;
-    }
-    out = out == kept ? pool.end() : std::move(kept, pool.end(), out);
-  } else {
-    // Long list: one pass over the pool, a lower_bound cursor moving
-    // forward through the list.
-    auto from = list.begin();
-    for (const EdgeId e : pool) {
-      from = gallop_lower_bound(from, list.end(), e);
-      if (from == list.end() || *from != e) *out++ = e;
-    }
+  auto from = list.begin();
+  for (const EdgeId e : pool) {
+    from = std::lower_bound(from, list.end(), e);
+    if (from == list.end() || *from != e) *out++ = e;
   }
   pool.erase(out, pool.end());
 }

@@ -138,8 +138,7 @@ void peel_sorted(const std::vector<graph::EdgeId>& inc,
                  const std::vector<graph::EdgeId>& list);
 
 /// Root-side peel: erase from the sorted `pool` every edge in the sorted
-/// `list`, compacting in place and keeping the pool sorted. The smaller
-/// side drives the lookups.
+/// `list`, compacting in place in one pass and keeping the pool sorted.
 void erase_sorted(std::vector<graph::EdgeId>& pool,
                   const std::vector<graph::EdgeId>& list);
 
