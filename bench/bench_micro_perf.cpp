@@ -29,9 +29,7 @@
 #include "graph/spanner_check.hpp"
 #include "graph/generators.hpp"
 #include "localsim/tlocal_broadcast.hpp"
-#include "net/tcp_backend.hpp"
 #include "obs/trace.hpp"
-#include "sim/backend.hpp"
 #include "sim/network.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -167,33 +165,20 @@ struct DeliveryResult {
 };
 
 DeliveryResult run_delivery(const graph::Graph& g, unsigned rounds,
-                            std::uint64_t seed, unsigned threads = 1,
-                            sim::BackendConfig backend = {},
-                            fl::net::TcpStats* transport_out = nullptr) {
+                            std::uint64_t seed, unsigned threads = 1) {
   sim::Network net(g, sim::Knowledge::EdgeIds, seed);
-  // Pin the backend explicitly: every sweep column names the backend it
-  // measures, so an ambient FL_SIM_BACKEND must not retarget the rows.
-  net.set_backend(backend);
   net.set_parallelism({threads});
   net.install_all<FloodRounds>(rounds);
   // Timed region = net.run() only: the full phase pipeline (step shards,
   // merge lanes, quiesce checks) including any storage growth inside the
   // run. Network construction and program install are identical across
-  // configurations and excluded. For the TCP backend the timed region
-  // therefore includes forking the shard processes and building the
-  // loopback mesh — part of what that transport costs.
+  // configurations and excluded.
   DeliveryResult res;
   util::Timer timer;
   res.stats = net.run(static_cast<std::size_t>(rounds) + 4);
   res.seconds = timer.seconds();
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v)
     res.checksum += net.program_as<FloodRounds>(v).checksum();
-  if (transport_out != nullptr) {
-    const fl::net::TcpStats* ts = fl::net::tcp_stats(net.backend());
-    FL_REQUIRE(ts != nullptr,
-               "backend sweep expected a tcp run but got no transport stats");
-    *transport_out = *ts;
-  }
   return res;
 }
 
@@ -465,164 +450,6 @@ int run_congest_bench(const bench::Env& env) {
                    "congest sweep: budget failed to stretch rounds at n=%u "
                    "%s (local %zu, budgeted %zu)\n",
                    r.n, r.family.c_str(), r.local.rounds, r.congest.rounds);
-      return 1;
-    }
-  }
-  return 0;
-}
-
-// ------------------------------------------------- delivery backends
-
-/// In-process vs TCP shard processes on the same flood, same seed. The
-/// model columns (rounds, messages, checksum agreement) are the C14
-/// contract made a tracked snapshot: any divergence between the backends
-/// is an engine bug, never noise. wire_bytes is model too — the wire
-/// format is explicit little-endian with deterministic framing, so the
-/// byte count moves only when the format (or the traffic) changes. The
-/// throughput and barrier columns are wall-clock advisory data: loopback
-/// sockets against a shared-memory arena, priced per message and per
-/// round-sync barrier.
-struct BackendRow {
-  graph::NodeId n = 0;
-  std::string family;
-  std::uint64_t edges = 0;
-  unsigned shards = 0;
-  DeliveryResult inproc;
-  DeliveryResult tcp;
-  fl::net::TcpStats transport;
-
-  bool stats_match() const {
-    return inproc.stats.rounds == tcp.stats.rounds &&
-           inproc.stats.messages == tcp.stats.messages &&
-           inproc.stats.terminated == tcp.stats.terminated &&
-           inproc.checksum == tcp.checksum;
-  }
-  double tcp_over_inproc() const {
-    return inproc.msgs_per_sec() > 0.0
-               ? tcp.msgs_per_sec() / inproc.msgs_per_sec()
-               : 0.0;
-  }
-  double barrier_ns_per_round() const {
-    return transport.rounds > 0
-               ? static_cast<double>(transport.barrier_ns) /
-                     static_cast<double>(transport.rounds)
-               : 0.0;
-  }
-};
-
-std::vector<BackendRow> run_backend_sweep(const bench::Env& env) {
-  const unsigned rounds = 4;
-  std::vector<graph::NodeId> sizes{500, 2000};
-  if (env.quick) sizes = {500};
-
-  std::vector<BackendRow> rows;
-  for (const graph::NodeId n : sizes) {
-    for (const char* family : {"dense", "sparse"}) {
-      const bool dense = std::string(family) == "dense";
-      util::Xoshiro256 rng(env.seed + n + (dense ? 1 : 0));
-      const graph::Graph g = dense
-                                 ? graph::erdos_renyi_gnm(n, 8ull * n, rng)
-                                 : graph::random_tree(n, rng);
-      for (const unsigned shards : {2u, 4u}) {
-        BackendRow row;
-        row.n = n;
-        row.family = family;
-        row.edges = g.num_edges();
-        row.shards = shards;
-        // Best of 3, interleaved like the delivery sweep. Both sides run
-        // the sequential engine: the row prices the transport, not the
-        // scheduler. The TCP side re-forks its shard processes every rep
-        // — that setup is part of the transport's cost (see run_delivery).
-        const int reps = 3;
-        for (int r = 0; r < reps; ++r) {
-          DeliveryResult ip = run_delivery(g, rounds, env.seed);
-          fl::net::TcpStats ts;
-          DeliveryResult tc =
-              run_delivery(g, rounds, env.seed, 1,
-                           {sim::BackendKind::Tcp, shards}, &ts);
-          if (r == 0 || ip.seconds < row.inproc.seconds) row.inproc = ip;
-          if (r == 0 || tc.seconds < row.tcp.seconds) {
-            row.tcp = tc;
-            row.transport = ts;
-          }
-        }
-        rows.push_back(std::move(row));
-      }
-    }
-  }
-  return rows;
-}
-
-void emit_backend_json(const std::vector<BackendRow>& rows,
-                       const bench::Env& env) {
-  std::printf("{\n  \"bench\": \"net_backend\",\n");
-  std::printf("  \"seed\": %llu,\n  \"quick\": %s,\n",
-              static_cast<unsigned long long>(env.seed),
-              env.quick ? "true" : "false");
-  std::printf("  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const BackendRow& r = rows[i];
-    std::printf(
-        "    {\"n\": %u, \"family\": \"%s\", \"edges\": %llu, "
-        "\"shards\": %u, \"rounds\": %zu, \"messages\": %llu, "
-        "\"wire_bytes\": %llu, \"stats_match\": %s, "
-        "\"inproc_msgs_per_sec\": %.0f, \"tcp_msgs_per_sec\": %.0f, "
-        "\"tcp_over_inproc\": %.4f, \"barrier_ns_per_round\": %.0f}%s\n",
-        r.n, r.family.c_str(), static_cast<unsigned long long>(r.edges),
-        r.shards, r.tcp.stats.rounds,
-        static_cast<unsigned long long>(r.tcp.stats.messages),
-        static_cast<unsigned long long>(r.transport.wire_bytes),
-        r.stats_match() ? "true" : "false", r.inproc.msgs_per_sec(),
-        r.tcp.msgs_per_sec(), r.tcp_over_inproc(), r.barrier_ns_per_round(),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
-}
-
-int run_backend_bench(const bench::Env& env) {
-  const auto rows = run_backend_sweep(env);
-  if (env.json) {
-    emit_backend_json(rows, env);
-  } else {
-    util::Table table({"n", "family", "edges", "shards", "rounds",
-                       "messages", "wire KiB", "inproc Mmsg/s",
-                       "tcp Mmsg/s", "tcp/inproc", "barrier us/round",
-                       "match?"});
-    for (const BackendRow& r : rows) {
-      table.add(static_cast<std::size_t>(r.n), r.family,
-                static_cast<unsigned long long>(r.edges), r.shards,
-                r.tcp.stats.rounds,
-                static_cast<unsigned long long>(r.tcp.stats.messages),
-                util::fixed(static_cast<double>(r.transport.wire_bytes) /
-                                1024.0,
-                            1),
-                util::fixed(r.inproc.msgs_per_sec() / 1e6, 2),
-                util::fixed(r.tcp.msgs_per_sec() / 1e6, 2),
-                util::fixed(r.tcp_over_inproc(), 3),
-                util::fixed(r.barrier_ns_per_round() / 1e3, 1),
-                r.stats_match());
-    }
-    env.emit(table,
-             "Delivery backends: in-process vs TCP shard processes (C14)");
-  }
-  for (const BackendRow& r : rows) {
-    if (!r.stats_match()) {
-      std::fprintf(stderr,
-                   "backend sweep: tcp:%u diverged from in-process at n=%u "
-                   "%s — contract C14 is broken\n",
-                   r.shards, r.n, r.family.c_str());
-      return 1;
-    }
-    if (r.transport.rounds != r.tcp.stats.rounds ||
-        r.transport.wire_bytes == 0) {
-      std::fprintf(stderr,
-                   "backend sweep: tcp:%u transport stats implausible at "
-                   "n=%u %s (%llu barrier rounds over %zu engine rounds, "
-                   "%llu wire bytes)\n",
-                   r.shards, r.n, r.family.c_str(),
-                   static_cast<unsigned long long>(r.transport.rounds),
-                   r.tcp.stats.rounds,
-                   static_cast<unsigned long long>(r.transport.wire_bytes));
       return 1;
     }
   }
@@ -982,7 +809,7 @@ int main(int argc, char** argv) {
   const bool sweep_section = [&] {
     for (const char* flag :
          {"--delivery", "--json", "--csv", "--quick", "--seed", "--threads",
-          "--congest", "--capacity", "--profile", "--backend"})
+          "--congest", "--capacity", "--profile"})
       if (has_flag(flag)) return true;
     return false;
   }();
@@ -996,10 +823,7 @@ int main(int argc, char** argv) {
     // process); pass --delivery explicitly to get both, capacity first.
     // --profile runs a traced flood instead of the delivery sweep (same
     // instead-of rule: its report includes RSS readings) and drops the
-    // Chrome-trace artifact next to the report. --backend runs the
-    // in-process-vs-TCP backend comparison instead of the delivery sweep
-    // (it forks shard processes; keeping it its own section keeps the
-    // default sweep fork-free).
+    // Chrome-trace artifact next to the report.
     const fl::util::Options opt(argc, argv);
     const std::int64_t threads = opt.get_int("threads", 8);
     FL_REQUIRE(threads >= 1 && threads <= 1024,
@@ -1007,7 +831,6 @@ int main(int argc, char** argv) {
     const auto env = fl::bench::Env::parse(argc, argv);
     const bool capacity = has_flag("--capacity");
     const bool profile = has_flag("--profile");
-    const bool backend = has_flag("--backend");
     int rc = 0;
     if (capacity)
       rc = run_capacity_bench(env, static_cast<unsigned>(threads));
@@ -1016,11 +839,7 @@ int main(int argc, char** argv) {
           run_profile_bench(env, static_cast<unsigned>(threads));
       if (rc == 0) rc = profile_rc;
     }
-    if (backend) {
-      const int backend_rc = run_backend_bench(env);
-      if (rc == 0) rc = backend_rc;
-    }
-    if ((!capacity && !profile && !backend) || has_flag("--delivery")) {
+    if ((!capacity && !profile) || has_flag("--delivery")) {
       const int delivery_rc =
           run_delivery_bench(env, static_cast<unsigned>(threads));
       if (rc == 0) rc = delivery_rc;

@@ -62,14 +62,6 @@ ADVISORY_MARKERS = ("rounds_saved",)
 REQUIRED_MODEL_COLUMNS = {
     "round_profile": {"round", "messages", "words", "deferrals",
                       "carry_depth", "lanes"},
-    # bench_micro_perf --backend: in-process vs TCP shard processes on the
-    # same seed. Everything except the throughput/barrier timings is the
-    # C14 cross-backend contract — rounds, messages and the stats_match
-    # verdict are bit-pinned, and wire_bytes is model too (the wire format
-    # is explicit little-endian with deterministic framing, so the byte
-    # count moves only when the format or the traffic changes).
-    "net_backend": {"n", "family", "edges", "shards", "rounds", "messages",
-                    "wire_bytes", "stats_match"},
     # E6d's fixed-vs-adaptive barrier A/B (bench_e6_messages --congest):
     # every round count is a model quantity — "adaptive rounds" especially,
     # since the event-driven barrier contract (CONTRACTS.md C13) pins it

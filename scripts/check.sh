@@ -30,20 +30,6 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 # a matching baseline; FL_BENCH_FULL=1 additionally refreshes the tracked
 # full-sweep record (adds the n=100k rows — a couple of minutes).
 "$BUILD_DIR"/bench/bench_micro_perf --quick --congest --json | tee BENCH_micro_perf.json
-
-# Backend smoke: the same flood under the in-process engine and under TCP
-# shard processes (bench_micro_perf --backend), teed into the tracked
-# BENCH_net.json. The model columns are contract C14 in snapshot form —
-# rounds, messages and the stats_match verdict must never move — and the
-# binary itself exits nonzero on any cross-backend divergence. On top of
-# that, a byte-level diff of the quickstart example across backends: the
-# cheapest end-to-end proof that FL_SIM_BACKEND is a transport knob, not a
-# semantic one.
-"$BUILD_DIR"/bench/bench_micro_perf --backend --quick --json | tee BENCH_net.json
-diff <("$BUILD_DIR"/examples/quickstart) \
-     <(FL_SIM_BACKEND=tcp:2 "$BUILD_DIR"/examples/quickstart) \
-  || { echo "check.sh: quickstart output differs across backends (C14)"; exit 1; }
-echo "check.sh: quickstart byte-identical across backends"
 if [ -n "${FL_BENCH_FULL:-}" ]; then
   "$BUILD_DIR"/bench/bench_micro_perf --delivery --congest --json | tee BENCH_micro_perf_full.json
 fi

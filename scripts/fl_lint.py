@@ -57,17 +57,6 @@ linter, so this pass checks them directly over ``src/``:
                           from total_rounds outside the sampler driver
                           silently re-couples callers to the retired fixed
                           schedule.
-  FL011 raw-transport     socket-layer calls (htons/ntohl and friends,
-                          ::socket, socketpair, AF_*/SOCK_STREAM, the
-                          socket headers) or ad-hoc byte-pointer
-                          reinterpret_cast framing outside ``src/net/``.
-                          The net layer is the one sanctioned door to the
-                          socket API: everywhere else, cross-process bytes
-                          go through sim/wire.hpp (WireWriter/WireReader,
-                          explicit little-endian) and delivery goes through
-                          the DeliveryBackend interface — a hand-rolled
-                          transport would bypass both the C14 oracle and
-                          the endianness guarantees.
 
 Violations that are understood and accepted live in the tracked allowlist
 (``scripts/fl_lint_allowlist.txt``); everything else fails the build.
@@ -87,7 +76,7 @@ import tempfile
 
 CHECK_IDS = (
     "FL001", "FL002", "FL003", "FL004", "FL005", "FL006", "FL007", "FL008",
-    "FL009", "FL010", "FL011",
+    "FL009", "FL010",
 )
 
 
@@ -326,45 +315,6 @@ def check_schedule_length(path: str, code: str) -> list:
     return findings
 
 
-# --------------------------------------------------------------------- FL011
-
-# The transport carve-out: src/net/ is the delivery-backend layer, the one
-# place allowed to speak to the socket API and to alias bytes for framing
-# (its sockaddr casts and length-prefix frames ARE the transport). FL011
-# polices everywhere else on two fronts: the socket layer itself, and the
-# byte-pointer reinterpret_cast that hand-rolled framing always starts with
-# — wire bytes anywhere else must come from sim/wire.hpp's explicit
-# little-endian WireWriter/WireReader, and delivery from a DeliveryBackend.
-NET_DIR = re.compile(r"(?:^|/)src/net/")
-
-FL011_SOCKET = re.compile(
-    r"#\s*include\s*<(?:sys/socket\.h|sys/un\.h|netinet/[^>]*|arpa/inet\.h)>|"
-    r"\b(?:htons|htonl|ntohs|ntohl|socketpair|setsockopt|getsockname)\s*\(|"
-    r"::socket\s*\(|\bAF_(?:INET6?|UNIX)\b|\bSOCK_STREAM\b")
-FL011_FRAMING = re.compile(
-    r"reinterpret_cast\s*<\s*(?:const\s+)?(?:unsigned\s+char|signed\s+char|"
-    r"char|std::uint8_t|uint8_t|std::byte)\s*(?:const\s+)?\*\s*>")
-
-
-def check_raw_transport(path: str, code: str) -> list:
-    if NET_DIR.search(path.replace("\\", "/")):
-        return []
-    findings = []
-    for m in FL011_SOCKET.finditer(code):
-        findings.append(Finding(
-            path, line_of(code, m.start()), "FL011",
-            "raw socket-layer call outside src/net/ — transport code lives "
-            "behind the DeliveryBackend interface (FL_SIM_BACKEND selects "
-            "it; see net/channel.hpp)"))
-    for m in FL011_FRAMING.finditer(code):
-        findings.append(Finding(
-            path, line_of(code, m.start()), "FL011",
-            "ad-hoc byte-pointer reinterpret_cast framing outside src/net/ "
-            "— cross-process bytes must go through sim/wire.hpp's "
-            "WireWriter/WireReader (explicit little-endian)"))
-    return findings
-
-
 # ----------------------------------------------------------------- allowlist
 
 def load_allowlist(path: str) -> list:
@@ -418,7 +368,6 @@ def lint_file(path: str, rel: str, allow: list) -> list:
     findings += check_message_planes(rel, code)
     findings += check_obs_feedback(rel, code)
     findings += check_schedule_length(rel, code)
-    findings += check_raw_transport(rel, code)
     lines = text.split("\n")
     return [f for f in findings if not suppressed(f, lines, allow)]
 
@@ -497,16 +446,6 @@ FIXTURES = {
               "std::size_t cap(const core::Schedule& s) {\n"
               "  return s.total_rounds * 64 + 4096;\n"
               "}\n"),
-    # A protocol hand-rolling its own transport: socket calls plus the
-    # byte-pointer cast that ad-hoc framing always starts with — both must
-    # fire outside src/net/.
-    "FL011": ("src/sim/fixture_fl011.cpp",
-              "#include <sys/socket.h>\n"
-              "std::uint32_t ship(const Msg& m, int fd) {\n"
-              "  const char* raw = reinterpret_cast<const char*>(&m);\n"
-              "  (void)fd;\n"
-              "  return htonl(static_cast<std::uint32_t>(raw[0]));\n"
-              "}\n"),
 }
 
 # Files that must produce no findings: a compliant protocol, the obs layer
@@ -538,19 +477,6 @@ CLEAN_FIXTURES = [
     ("src/core/distributed_sampler.cpp",
      "std::size_t fixed_cap(const Schedule& s) {\n"
      "  return s.total_rounds + 4;\n"
-     "}\n"),
-    # FL011's carve-out: src/net/ IS the transport — socket calls, sockaddr
-    # setup and byte framing are its job, and must produce no findings.
-    ("src/net/fixture_clean_net.cpp",
-     "#include <netinet/in.h>\n"
-     "#include <sys/socket.h>\n"
-     "int listen_any(std::uint16_t port) {\n"
-     "  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);\n"
-     "  sockaddr_in addr{};\n"
-     "  addr.sin_port = htons(port);\n"
-     "  (void)::bind(fd, reinterpret_cast<const sockaddr*>(&addr),\n"
-     "               sizeof(addr));\n"
-     "  return fd;\n"
      "}\n"),
 ]
 

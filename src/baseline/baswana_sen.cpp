@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "sim/network.hpp"
-#include "sim/wire_check.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -125,16 +124,10 @@ struct MsgAnnounce {
   bool sampled = false;
 };
 
-// MsgAnnounce has padding after `sampled`, so its in-memory bytes are not
-// a deterministic function of the value — it must travel field-by-field.
-FL_WIRE_FIELDS(MsgAnnounce, cluster, sampled);
-
 // Θ(m) announces per iteration — the whole point of this baseline — so the
-// payload must relocate with the arena's memcpy fast path (and encode, so
-// the TCP shard backend can carry the flood).
+// payload must relocate with the arena's memcpy fast path.
 static_assert(sim::Payload::stores_inline<MsgAnnounce> &&
               sim::Payload::trivially_relocatable<MsgAnnounce>);
-static_assert(sim::Payload::wire_encodable<MsgAnnounce>);
 
 /// One announce-and-decide super-iteration occupies 2 rounds: (A) everyone
 /// announces over all incident edges, (B) everyone decides locally from the
@@ -268,14 +261,6 @@ DistributedBaswanaSenRun run_distributed_baswana_sen(const Graph& g,
   for (EdgeId e = 0; e < g.num_edges(); ++e)
     if (in_spanner[e]) run.result.edges.push_back(e);
   return run;
-}
-
-void baswana_sen_wire_selftest() {
-  const auto eq = [](const MsgAnnounce& a, const MsgAnnounce& b) {
-    return a.cluster == b.cluster && a.sampled == b.sampled;
-  };
-  sim::wire_roundtrip_check(MsgAnnounce{7, true}, eq);
-  sim::wire_roundtrip_check(MsgAnnounce{kInvalidNode, false}, eq);
 }
 
 }  // namespace fl::baseline

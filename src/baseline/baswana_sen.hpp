@@ -45,8 +45,4 @@ DistributedBaswanaSenRun run_distributed_baswana_sen(const graph::Graph& g,
                                                      unsigned k,
                                                      std::uint64_t seed);
 
-/// Wire round-trip self-check for this protocol's payload structs (they
-/// live in the .cpp's anonymous namespace; tests call this hook).
-void baswana_sen_wire_selftest();
-
 }  // namespace fl::baseline

@@ -5,7 +5,6 @@
 #include "baseline/baswana_sen.hpp"
 #include "graph/algorithms.hpp"
 #include "sim/network.hpp"
-#include "sim/wire_check.hpp"
 #include "util/assert.hpp"
 
 namespace fl::baseline {
@@ -27,25 +26,13 @@ struct MsgResult {                 // the leader's spanner, broadcast down
   std::shared_ptr<const std::vector<EdgeId>> edges;
 };
 
-// The shared-list payloads ship the list *contents* field-by-field on the
-// wire (a receiver in another process owns a fresh copy); the markers
-// encode to nothing.
-FL_WIRE_FIELDS(MsgUpcast, edges);
-FL_WIRE_FIELDS(MsgResult, edges);
-
 // Every message of this protocol must ride in the payload's inline buffer
-// (the cast sessions ship shared list heads, not the lists themselves)
-// and be wire-encodable so the TCP shard backend can deliver it.
+// (the cast sessions ship shared list heads, not the lists themselves).
 static_assert(sim::Payload::stores_inline<MsgWave>);
 static_assert(sim::Payload::stores_inline<MsgChild>);
 static_assert(sim::Payload::stores_inline<MsgDecline>);
 static_assert(sim::Payload::stores_inline<MsgUpcast>);
 static_assert(sim::Payload::stores_inline<MsgResult>);
-static_assert(sim::Payload::wire_encodable<MsgWave>);
-static_assert(sim::Payload::wire_encodable<MsgChild>);
-static_assert(sim::Payload::wire_encodable<MsgDecline>);
-static_assert(sim::Payload::wire_encodable<MsgUpcast>);
-static_assert(sim::Payload::wire_encodable<MsgResult>);
 
 /// States: wait wave -> handshake -> wait child upcasts -> upcast -> wait
 /// result -> forward result -> done. The leader (node 0) computes the
@@ -207,26 +194,6 @@ TopologyCollectRun run_topology_collect(const Graph& g, unsigned k,
   run.metrics = net.metrics();
   run.edges = net.program_as<CollectNode>(0).result();
   return run;
-}
-
-void topology_collect_wire_selftest() {
-  const auto any = [](const auto&, const auto&) { return true; };
-  const auto same_list = [](const auto& a, const auto& b) {
-    return (a.edges == nullptr) == (b.edges == nullptr) &&
-           (a.edges == nullptr || *a.edges == *b.edges);
-  };
-  sim::wire_roundtrip_check(MsgWave{}, any);
-  sim::wire_roundtrip_check(MsgChild{}, any);
-  sim::wire_roundtrip_check(MsgDecline{}, any);
-  sim::wire_roundtrip_check(
-      MsgUpcast{std::make_shared<std::vector<EdgeId>>(
-          std::vector<EdgeId>{0, 7, kInvalidEdge})},
-      same_list);
-  sim::wire_roundtrip_check(MsgUpcast{}, same_list);  // null list head
-  sim::wire_roundtrip_check(
-      MsgResult{std::make_shared<const std::vector<EdgeId>>(
-          std::vector<EdgeId>{3, 1, 4, 1, 5})},
-      same_list);
 }
 
 }  // namespace fl::baseline

@@ -31,9 +31,4 @@ struct TopologyCollectRun {
 TopologyCollectRun run_topology_collect(const graph::Graph& g, unsigned k,
                                         std::uint64_t seed);
 
-/// Wire round-trip self-check for every payload struct of this protocol
-/// (they live in the .cpp's anonymous namespace; tests call this hook).
-/// Throws util::ContractViolation on any encode/decode disagreement.
-void topology_collect_wire_selftest();
-
 }  // namespace fl::baseline

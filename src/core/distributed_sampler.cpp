@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "sim/wire_check.hpp"
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
@@ -178,47 +177,11 @@ struct MsgDeath {  // dying cluster announces over its F_v edges
   EdgeList boundary;  ///< sorted ascending and shared immutably
 };
 
-// Field-by-field wire framing for every non-empty payload (the empty
-// markers use the encode-to-nothing default). Explicit field lists are
-// required wherever padding makes the raw bytes nondeterministic
-// (MsgTrialRate, MsgQueryReply, Found, MsgCenterReply, MsgJoin) and kept
-// uniform for the rest so the framing never silently changes when a
-// struct gains a field.
-FL_WIRE_FIELDS(MsgGatherUp, candidates);
-FL_WIRE_FIELDS(MsgBoundary, boundary);
-FL_WIRE_FIELDS(MsgTrialRate, trial_size, pool_total, skip);
-FL_WIRE_FIELDS(MsgQueryReply, alive, cluster, boundary);
-FL_WIRE_FIELDS(Found, cluster, alive, via, list);
-FL_WIRE_FIELDS(MsgCollectUp, found);
-FL_WIRE_FIELDS(MsgApply, entries);
-FL_WIRE_FIELDS(MsgCenterFlood, is_center);
-FL_WIRE_FIELDS(MsgCenterReply, is_center, cluster);
-FL_WIRE_FIELDS(CenterFound, cluster, via);
-FL_WIRE_FIELDS(MsgCenterUp, found);
-FL_WIRE_FIELDS(MsgJoin, decision, new_cluster, attach_edge);
-FL_WIRE_FIELDS(MsgDeath, boundary);
-
 // The sampler's whole message budget rides on these structs: queries and
 // replies are the Õ(n^{1+δ+ε}) term, the rest are tree sessions. All of
 // them must fit the payload's inline buffer (list-carrying messages ship a
-// shared_ptr head, never the list), the pure-control messages must hit
-// the memcpy relocation fast path, and every one must be wire-encodable
-// so the TCP shard backend can deliver the sampler unchanged.
-static_assert(sim::Payload::wire_encodable<MsgSetup> &&
-              sim::Payload::wire_encodable<MsgGatherUp> &&
-              sim::Payload::wire_encodable<MsgBoundary> &&
-              sim::Payload::wire_encodable<MsgTrialRate> &&
-              sim::Payload::wire_encodable<MsgQuery> &&
-              sim::Payload::wire_encodable<MsgQueryReply> &&
-              sim::Payload::wire_encodable<MsgCollectUp> &&
-              sim::Payload::wire_encodable<MsgApply> &&
-              sim::Payload::wire_encodable<MsgCenterFlood> &&
-              sim::Payload::wire_encodable<MsgCenterQuery> &&
-              sim::Payload::wire_encodable<MsgCenterReply> &&
-              sim::Payload::wire_encodable<MsgCenterUp> &&
-              sim::Payload::wire_encodable<MsgJoin> &&
-              sim::Payload::wire_encodable<MsgAttach> &&
-              sim::Payload::wire_encodable<MsgDeath>);
+// shared_ptr head, never the list), and the pure-control messages must hit
+// the memcpy relocation fast path.
 static_assert(sim::Payload::stores_inline<MsgSetup>);
 static_assert(sim::Payload::stores_inline<MsgGatherUp>);
 static_assert(sim::Payload::stores_inline<MsgBoundary>);
@@ -1120,101 +1083,6 @@ DistributedSpannerRun run_distributed_sampler(const graph::Graph& g,
   for (EdgeId e = 0; e < g.num_edges(); ++e)
     if (in_spanner[e]) run.edges.push_back(e);
   return run;
-}
-
-void distributed_sampler_wire_selftest() {
-  using sim::wire_roundtrip_check;
-  const auto any = [](const auto&, const auto&) { return true; };
-  const auto same_list = [](const auto& a, const auto& b) {
-    return (a == nullptr) == (b == nullptr) && (a == nullptr || *a == *b);
-  };
-  const auto found_eq = [&](const Found& a, const Found& b) {
-    return a.cluster == b.cluster && a.alive == b.alive && a.via == b.via &&
-           same_list(a.list, b.list);
-  };
-  const auto center_eq = [](const CenterFound& a, const CenterFound& b) {
-    return a.cluster == b.cluster && a.via == b.via;
-  };
-  const auto list = [](std::vector<EdgeId> v) {
-    return std::make_shared<const std::vector<EdgeId>>(std::move(v));
-  };
-
-  wire_roundtrip_check(MsgSetup{}, any);
-  wire_roundtrip_check(MsgQuery{}, any);
-  wire_roundtrip_check(MsgCenterQuery{}, any);
-  wire_roundtrip_check(MsgAttach{}, any);
-  wire_roundtrip_check(
-      MsgGatherUp{std::make_shared<std::vector<EdgeId>>(
-          std::vector<EdgeId>{9, 0, kInvalidEdge})},
-      [&](const MsgGatherUp& a, const MsgGatherUp& b) {
-        return same_list(a.candidates, b.candidates);
-      });
-  wire_roundtrip_check(MsgBoundary{list({1, 2, 3})},
-                       [&](const MsgBoundary& a, const MsgBoundary& b) {
-                         return same_list(a.boundary, b.boundary);
-                       });
-  wire_roundtrip_check(
-      MsgTrialRate{~0ULL, 12345678901234ULL, true},
-      [](const MsgTrialRate& a, const MsgTrialRate& b) {
-        return a.trial_size == b.trial_size && a.pool_total == b.pool_total &&
-               a.skip == b.skip;
-      });
-  wire_roundtrip_check(
-      MsgQueryReply{false, 42, list({5, 6})},
-      [&](const MsgQueryReply& a, const MsgQueryReply& b) {
-        return a.alive == b.alive && a.cluster == b.cluster &&
-               same_list(a.boundary, b.boundary);
-      });
-  wire_roundtrip_check(Found{3, false, 17, list({8})}, found_eq);
-  wire_roundtrip_check(Found{kInvalidNode, true, kInvalidEdge, nullptr},
-                       found_eq);
-  wire_roundtrip_check(
-      MsgCollectUp{std::make_shared<std::vector<Found>>(
-          std::vector<Found>{{1, true, 2, list({3})}, {4, false, 5, nullptr}})},
-      [&](const MsgCollectUp& a, const MsgCollectUp& b) {
-        if ((a.found == nullptr) != (b.found == nullptr)) return false;
-        if (a.found == nullptr) return true;
-        if (a.found->size() != b.found->size()) return false;
-        for (std::size_t i = 0; i < a.found->size(); ++i)
-          if (!found_eq((*a.found)[i], (*b.found)[i])) return false;
-        return true;
-      });
-  wire_roundtrip_check(
-      MsgApply{std::make_shared<const std::vector<Found>>(
-          std::vector<Found>{{7, true, 8, nullptr}})},
-      [&](const MsgApply& a, const MsgApply& b) {
-        return a.entries->size() == b.entries->size() &&
-               found_eq((*a.entries)[0], (*b.entries)[0]);
-      });
-  wire_roundtrip_check(MsgCenterFlood{true},
-                       [](const MsgCenterFlood& a, const MsgCenterFlood& b) {
-                         return a.is_center == b.is_center;
-                       });
-  wire_roundtrip_check(
-      MsgCenterReply{true, 99},
-      [](const MsgCenterReply& a, const MsgCenterReply& b) {
-        return a.is_center == b.is_center && a.cluster == b.cluster;
-      });
-  wire_roundtrip_check(CenterFound{11, 13}, center_eq);
-  wire_roundtrip_check(
-      MsgCenterUp{std::make_shared<std::vector<CenterFound>>(
-          std::vector<CenterFound>{{1, 2}, {3, 4}})},
-      [&](const MsgCenterUp& a, const MsgCenterUp& b) {
-        if (a.found->size() != b.found->size()) return false;
-        for (std::size_t i = 0; i < a.found->size(); ++i)
-          if (!center_eq((*a.found)[i], (*b.found)[i])) return false;
-        return true;
-      });
-  wire_roundtrip_check(
-      MsgJoin{JoinDecision::Join, 21, 34},
-      [](const MsgJoin& a, const MsgJoin& b) {
-        return a.decision == b.decision && a.new_cluster == b.new_cluster &&
-               a.attach_edge == b.attach_edge;
-      });
-  wire_roundtrip_check(MsgDeath{list({55, 89})},
-                       [&](const MsgDeath& a, const MsgDeath& b) {
-                         return same_list(a.boundary, b.boundary);
-                       });
 }
 
 }  // namespace fl::core

@@ -144,8 +144,4 @@ void erase_sorted(std::vector<graph::EdgeId>& pool,
 
 }  // namespace detail
 
-/// Wire round-trip self-check for all 18 sampler payload structs (they
-/// live in the .cpp's anonymous namespace; tests call this hook).
-void distributed_sampler_wire_selftest();
-
 }  // namespace fl::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "util/assert.hpp"
 
@@ -51,6 +52,17 @@ Graph Graph::StreamBuilder::build() && {
   g.n_ = n_;
   g.edges_ = std::move(edges_);
   finalize_csr(g);
+  // No hash set on this path, so duplicates are caught here instead: each
+  // node's incidence slice is neighbour-sorted, so a repeated edge shows up
+  // as two adjacent slots with the same `to`. O(m), no extra memory.
+  for (NodeId v = 0; v < g.n_; ++v) {
+    for (std::size_t i = g.offsets_[v] + 1; i < g.offsets_[v + 1]; ++i) {
+      FL_REQUIRE(g.incidence_[i].to != g.incidence_[i - 1].to,
+                 "duplicate edge {" + std::to_string(v) + ", " +
+                     std::to_string(g.incidence_[i].to) +
+                     "} in a simple graph");
+    }
+  }
   return g;
 }
 

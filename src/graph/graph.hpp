@@ -44,13 +44,11 @@ class Graph {
 
   /// Large-scale construction: like Builder but without the duplicate-edge
   /// hash set, whose ~16 bytes/edge would dominate the footprint of an
-  /// n=10M sparse load. The caller vouches that edges are distinct (range
-  /// and self-loop checks still apply — those are O(1)); feeding a
-  /// duplicate produces a multigraph-shaped incidence, so this builder is
-  /// for trusted bulk sources (generators, the streamed edge-list loader),
-  /// not hand-typed input. Endpoints append straight into the final edge
-  /// array — peak memory is the finished graph plus the CSR scratch,
-  /// never an intermediate copy.
+  /// n=10M sparse load. Range and self-loop checks run per edge (O(1));
+  /// duplicates are rejected by build(), which scans the finished,
+  /// neighbour-sorted incidence lists once. Endpoints append straight into
+  /// the final edge array — peak memory is the finished graph plus the
+  /// CSR scratch, never an intermediate copy.
   class StreamBuilder {
    public:
     explicit StreamBuilder(NodeId num_nodes) : n_(num_nodes) {}
@@ -59,12 +57,14 @@ class Graph {
     /// sparing the append path its doubling re-moves.
     void reserve_edges(std::size_t m) { edges_.reserve(m); }
 
-    /// Add an undirected edge {u, v} assumed distinct. Returns its id.
+    /// Add an undirected edge {u, v}. Returns its id. A duplicate is not
+    /// caught here but by build().
     EdgeId add_edge(NodeId u, NodeId v);
 
     NodeId num_nodes() const { return n_; }
     EdgeId num_edges() const { return static_cast<EdgeId>(edges_.size()); }
 
+    /// Throws ContractViolation naming the endpoints of any duplicate edge.
     Graph build() &&;
 
    private:

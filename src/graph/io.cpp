@@ -10,6 +10,51 @@
 
 namespace fl::graph {
 
+namespace {
+
+/// One parsed non-comment line of an edge list. For 'n', `a` is the node
+/// count; for 'e', `a` and `b` are the endpoints.
+struct EdgeListLine {
+  char tag = 0;
+  NodeId a = 0;
+  NodeId b = 0;
+};
+
+/// Reads one unsigned field. A leading '-' is rejected up front: unsigned
+/// extraction would otherwise wrap "-1" to UINT32_MAX.
+bool read_field(std::istream& ls, NodeId& out) {
+  ls >> std::ws;
+  if (ls.peek() == '-') return false;
+  return static_cast<bool>(ls >> out);
+}
+
+/// True iff only whitespace is left on the line.
+bool at_line_end(std::istream& ls) {
+  ls >> std::ws;
+  return ls.eof();
+}
+
+/// The line grammar shared by both readers: every field present and
+/// unsigned, nothing after the last one.
+EdgeListLine parse_line(const std::string& line) {
+  std::istringstream ls(line);
+  EdgeListLine out;
+  ls >> out.tag;
+  if (out.tag == 'n') {
+    FL_REQUIRE(read_field(ls, out.a) && at_line_end(ls),
+               "malformed 'n' line (want 'n <num_nodes>'): " + line);
+  } else if (out.tag == 'e') {
+    FL_REQUIRE(read_field(ls, out.a) && read_field(ls, out.b) &&
+                   at_line_end(ls),
+               "malformed 'e' line (want 'e <u> <v>'): " + line);
+  } else {
+    FL_REQUIRE(false, std::string("unknown edge-list tag '") + out.tag + "'");
+  }
+  return out;
+}
+
+}  // namespace
+
 void write_edge_list(std::ostream& os, const Graph& g) {
   os << "n " << g.num_nodes() << '\n';
   for (const auto& e : g.edges()) os << "e " << e.u << ' ' << e.v << '\n';
@@ -22,21 +67,13 @@ Graph read_edge_list(std::istream& is) {
   std::vector<Endpoints> edges;
   while (std::getline(is, line)) {
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    char tag = 0;
-    ls >> tag;
-    if (tag == 'n') {
+    const EdgeListLine l = parse_line(line);
+    if (l.tag == 'n') {
       FL_REQUIRE(!have_n, "duplicate 'n' line in edge list");
-      ls >> n;
-      FL_REQUIRE(static_cast<bool>(ls), "malformed 'n' line");
+      n = l.a;
       have_n = true;
-    } else if (tag == 'e') {
-      Endpoints e;
-      ls >> e.u >> e.v;
-      FL_REQUIRE(static_cast<bool>(ls), "malformed 'e' line");
-      edges.push_back(e);
     } else {
-      FL_REQUIRE(false, std::string("unknown edge-list tag '") + tag + "'");
+      edges.push_back(Endpoints{l.a, l.b});
     }
   }
   FL_REQUIRE(have_n, "edge list missing 'n' line");
@@ -61,28 +98,18 @@ Graph read_edge_list_streamed(std::istream& is,
   };
   while (std::getline(is, line)) {
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    char tag = 0;
-    ls >> tag;
-    if (tag == 'n') {
+    const EdgeListLine l = parse_line(line);
+    if (l.tag == 'n') {
       FL_REQUIRE(!have_n, "duplicate 'n' line in edge list");
-      NodeId n = 0;
-      ls >> n;
-      FL_REQUIRE(static_cast<bool>(ls), "malformed 'n' line");
       have_n = true;
-      builder = Graph::StreamBuilder(n);
+      builder = Graph::StreamBuilder(l.a);
       if (opt.reserve_edges > 0) builder.reserve_edges(opt.reserve_edges);
-    } else if (tag == 'e') {
+    } else {
       FL_REQUIRE(have_n,
                  "streamed edge list needs the 'n' line before the first "
                  "'e' line");
-      Endpoints e;
-      ls >> e.u >> e.v;
-      FL_REQUIRE(static_cast<bool>(ls), "malformed 'e' line");
-      chunk.push_back(e);
+      chunk.push_back(Endpoints{l.a, l.b});
       if (chunk.size() >= opt.chunk_edges) flush();
-    } else {
-      FL_REQUIRE(false, std::string("unknown edge-list tag '") + tag + "'");
     }
   }
   FL_REQUIRE(have_n, "edge list missing 'n' line");

@@ -13,7 +13,8 @@ namespace fl::graph {
 /// Format:
 ///   n <num_nodes>
 ///   e <u> <v>      (one line per edge; edge ids assigned in file order)
-/// Lines starting with '#' are comments.
+/// Lines starting with '#' are comments. Fields are unsigned decimal; a
+/// sign or any trailing token on a line is a contract violation.
 void write_edge_list(std::ostream& os, const Graph& g);
 Graph read_edge_list(std::istream& is);
 
@@ -30,11 +31,13 @@ struct EdgeListStreamOptions {
 /// Out-of-core variant of read_edge_list for n=10M-scale inputs: parses in
 /// fixed-size chunks straight into a Graph::StreamBuilder, so peak memory
 /// is the finished graph plus one chunk — no staging vector of all edges
-/// and no duplicate-detection hash set (the caller vouches the file lists
-/// each edge once; range and self-loop checks still apply). Same format as
-/// read_edge_list with one extra requirement: the 'n' line must precede
-/// the first 'e' line (the builder needs the node count up front). Edge
-/// ids are assigned in file order, identical to read_edge_list.
+/// and no duplicate-detection hash set. It rejects the same inputs as
+/// read_edge_list: range and self-loop checks run per edge, and a
+/// duplicate edge (in either orientation) is caught by one O(m) scan of
+/// the finished incidence lists. Same format as read_edge_list with one
+/// extra requirement: the 'n' line must precede the first 'e' line (the
+/// builder needs the node count up front). Edge ids are assigned in file
+/// order, identical to read_edge_list.
 Graph read_edge_list_streamed(std::istream& is,
                               const EdgeListStreamOptions& opt = {});
 

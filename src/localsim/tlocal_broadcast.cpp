@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "sim/network.hpp"
-#include "sim/wire_check.hpp"
 #include "util/assert.hpp"
 
 namespace fl::localsim {
@@ -25,16 +24,9 @@ struct MsgOrigins {
   std::uint32_t hops_left = 0;
 };
 
-// The bundle travels field-by-field on the wire: the origin list ships
-// its contents (a cross-process receiver owns a fresh copy), hops_left
-// rides as an explicit little-endian u32.
-FL_WIRE_FIELDS(MsgOrigins, origins, hops_left);
-
 // One MsgOrigins per subset edge per round is the transformer's hot path;
-// the shared list head must stay in the payload's inline buffer, and the
-// bundle must be wire-encodable for the TCP shard backend.
+// the shared list head must stay in the payload's inline buffer.
 static_assert(sim::Payload::stores_inline<MsgOrigins>);
-static_assert(sim::Payload::wire_encodable<MsgOrigins>);
 
 /// Per-node flooding program over a fixed incident edge subset. Each round
 /// a node bundles everything it learned last round into one message per
@@ -208,20 +200,6 @@ BroadcastRun run_tlocal_broadcast(const Graph& g,
   for (NodeId v = 0; v < g.num_nodes(); ++v)
     run.reached.push_back(net.program_as<FloodNode>(v).known_sorted());
   return run;
-}
-
-void tlocal_broadcast_wire_selftest() {
-  const auto eq = [](const MsgOrigins& a, const MsgOrigins& b) {
-    return a.hops_left == b.hops_left &&
-           (a.origins == nullptr) == (b.origins == nullptr) &&
-           (a.origins == nullptr || *a.origins == *b.origins);
-  };
-  sim::wire_roundtrip_check(
-      MsgOrigins{std::make_shared<const std::vector<NodeId>>(
-                     std::vector<NodeId>{0, 4, 2}),
-                 3},
-      eq);
-  sim::wire_roundtrip_check(MsgOrigins{nullptr, 0}, eq);
 }
 
 }  // namespace fl::localsim

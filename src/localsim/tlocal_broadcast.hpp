@@ -60,8 +60,4 @@ BroadcastRun run_tlocal_broadcast(
 /// Convenience: all edges of g (the native Θ(t·m) variant).
 std::vector<graph::EdgeId> all_edges(const graph::Graph& g);
 
-/// Wire round-trip self-check for this protocol's payload structs (they
-/// live in the .cpp's anonymous namespace; tests call this hook).
-void tlocal_broadcast_wire_selftest();
-
 }  // namespace fl::localsim

@@ -26,7 +26,6 @@ const char* span_name(SpanKind kind) {
     case SpanKind::StepLane: return "step:lane";
     case SpanKind::MergeLane: return "merge:lane";
     case SpanKind::AdmitLane: return "admit:lane";
-    case SpanKind::NetBarrier: return "net:barrier";
     case SpanKind::Protocol: return "protocol";
   }
   return "?";
@@ -128,10 +127,6 @@ void Tracer::record(SpanKind kind, unsigned lane, std::size_t round,
     case SpanKind::StepPhase: scratch_.step_ns += dur; break;
     case SpanKind::MergePhase: scratch_.merge_ns += dur; break;
     case SpanKind::AdmitPhase: scratch_.admit_ns += dur; break;
-    // The socket barrier rides the engine track as a raw span: it has no
-    // RoundProfile column (profiles stay backend-invariant in shape), but
-    // a Perfetto view of a tcp run shows exactly where barrier time goes.
-    case SpanKind::NetBarrier: break;
     case SpanKind::Protocol: break;
   }
   if (cfg_.level != TraceLevel::Spans) return;

@@ -89,7 +89,6 @@ enum class SpanKind : std::uint8_t {
   StepLane,    ///< lane: stepping its shard's nodes (busy time)
   MergeLane,   ///< lane: its offsets chunk + outbox scatter
   AdmitLane,   ///< lane: its admission chunk (decide + relocate)
-  NetBarrier,  ///< engine: the TCP backend's socket round-sync barrier
   Protocol,    ///< engine: a named protocol scope (run_tlocal_broadcast...)
 };
 

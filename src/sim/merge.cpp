@@ -1,9 +1,13 @@
-#include "sim/backend.hpp"
-
+// The merge barrier of Network's round pipeline: the lane outboxes
+// become next round's inboxes (merge_lanes), and under an enforced
+// CongestConfig the admission pass meters the merged arena per directed
+// edge (congest_admit). Both are private Network methods; they live here
+// so network.cpp stays about the pipeline and the send path.
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/network.hpp"
 #include "util/assert.hpp"
@@ -12,109 +16,7 @@ namespace fl::sim {
 
 using graph::NodeId;
 
-BackendConfig default_backend_config() {
-  BackendConfig cfg;
-  const char* env = std::getenv("FL_SIM_BACKEND");
-  if (env == nullptr || *env == '\0') return cfg;
-  if (std::strcmp(env, "inproc") == 0 || std::strcmp(env, "in-process") == 0)
-    return cfg;
-  FL_REQUIRE(std::strncmp(env, "tcp:", 4) == 0,
-             "FL_SIM_BACKEND must be 'inproc' or 'tcp:<shards>'");
-  const char* num = env + 4;
-  FL_REQUIRE(*num >= '0' && *num <= '9',
-             "FL_SIM_BACKEND=tcp:<shards> needs a positive shard count");
-  char* end = nullptr;
-  const unsigned long long shards = std::strtoull(num, &end, 10);
-  FL_REQUIRE(end != num && *end == '\0' && shards >= 1 && shards <= 32,
-             "FL_SIM_BACKEND=tcp:<shards> needs 1 <= shards <= 32");
-  cfg.kind = BackendKind::Tcp;
-  cfg.tcp_shards = static_cast<unsigned>(shards);
-  return cfg;
-}
-
-std::unique_ptr<DeliveryBackend> make_backend(const BackendConfig& cfg,
-                                              std::size_t num_nodes) {
-  switch (cfg.kind) {
-    case BackendKind::Tcp:
-      return fl::net::make_tcp_backend(num_nodes, cfg.tcp_shards);
-    case BackendKind::InProcess:
-      break;
-  }
-  return std::make_unique<InProcessBackend>(num_nodes);
-}
-
-// ------------------------------------------------------ InProcessBackend
-
-InProcessBackend::InProcessBackend(std::size_t num_nodes) {
-  arena_offsets_.assign(num_nodes + 1, 0);
-}
-
-void InProcessBackend::on_plan(Network& net) {
-  chunk_weight_.assign(net.shards_.size(), 0);
-  if (net.congest_.enforced()) {
-    // Budget state is per *directed* edge (index 2e + direction); carry
-    // queues and admitted buffers are per destination shard. None of it
-    // exists in LOCAL mode, which keeps the unbudgeted engine untouched.
-    congest_edges_.assign(
-        2 * static_cast<std::size_t>(net.graph_->num_edges()),
-        EdgeBudgetState{});
-    congest_chunks_.resize(net.shards_.size());
-    congest_counts_.assign(net.graph_->num_nodes(), 0);
-  }
-}
-
-InboxView InProcessBackend::inbox(NodeId v) const {
-  return arena_.range(arena_offsets_[v], arena_offsets_[v + 1]);
-}
-
-std::uint64_t InProcessBackend::max_carried_words() const {
-  std::uint64_t max_words = 0;
-  for (const auto& chunk : congest_chunks_)
-    for (std::size_t i = 0; i < chunk.carry.size(); ++i)
-      max_words = std::max<std::uint64_t>(
-          max_words, chunk.carry.header(i).size_hint_words);
-  return max_words;
-}
-
-std::uint64_t InProcessBackend::plane_allocations() const {
-  std::uint64_t total = arena_.allocations() + arena_next_.allocations();
-  for (const auto& chunk : congest_chunks_) {
-    total += chunk.carry.allocations() + chunk.carry_next.allocations() +
-             chunk.admitted.allocations();
-  }
-  return total;
-}
-
-void InProcessBackend::debug_mutate_carry(Network& net, unsigned chunk) {
-  FL_REQUIRE(chunk < congest_chunks_.size(), "carry chunk out of range");
-  if (net.check_) net.check_->touch_carry(chunk, "carry queue");
-  // Harmless when legally reached: the queue's contents are untouched.
-  auto& q = congest_chunks_[chunk].carry_next;
-  q.reserve(q.size());
-}
-
-std::uint64_t InProcessBackend::merge_barrier(Network& net) {
-  // Phase 2 — merge lanes: this round's sends become next round's inboxes.
-  std::uint64_t count = 0;
-  for (const auto& lane : net.lanes_) count += lane.outbox.size();
-  {
-    const obs::SpanScope span(net.trace_.get(), obs::SpanKind::MergePhase, 0,
-                              net.round_);
-    merge_lanes(net, count);
-  }
-  // Phase 2b — congest admission: the merged arena is the canonical
-  // (thread-count-invariant) candidate order, so metering it — rather
-  // than the per-lane outboxes — keeps budgeted delivery bit-identical
-  // across lane counts for free. `count` becomes what was *delivered*.
-  if (net.congest_.enforced()) {
-    const obs::SpanScope span(net.trace_.get(), obs::SpanKind::AdmitPhase, 0,
-                              net.round_);
-    count = congest_admit(net);
-  }
-  return count;
-}
-
-void InProcessBackend::merge_lanes(Network& net, std::uint64_t total) {
+void Network::merge_lanes(std::uint64_t total) {
   // Deterministic shard merge into the flat arena, in two steps that touch
   // each message exactly once (PR 2 measured an extra message pass at
   // ~25% end-to-end, so the merge must stay offsets-arithmetic + one
@@ -137,10 +39,7 @@ void InProcessBackend::merge_lanes(Network& net, std::uint64_t total) {
   // Send order within a lane is sequential order within its contiguous
   // shard, and step 1 ordered lanes ascending within each destination, so
   // per-destination arrival order is bit-identical to the sequential run
-  // — the counting sort is stable across the shard concatenation. The
-  // same property is what makes the TCP backend's shard processes agree
-  // with the parent: any contiguous ascending partition merges to the
-  // same per-destination order (ascending sender id, send order within).
+  // — the counting sort is stable across the shard concatenation.
   // arena_offsets_ is deliberately 32-bit (half the randomly accessed side
   // array); a round with >= 2^32 - 1 messages would silently wrap it, so
   // the large-n path must die here with a message naming the cure.
@@ -148,14 +47,14 @@ void InProcessBackend::merge_lanes(Network& net, std::uint64_t total) {
              "round message count overflows the 32-bit arena offsets "
              "(>= 2^32 - 1 messages in one round); split the round or "
              "promote arena_offsets_ to uint64_t");
-  const NodeId n = net.graph_->num_nodes();
-  if (!net.pool_) {
-    LaneScope scope(net.check_.get(), 0, EnginePhase::Merge);
+  const NodeId n = graph_->num_nodes();
+  if (!pool_) {
+    LaneScope scope(check_.get(), 0, EnginePhase::Merge);
     std::uint32_t sum = 0;
     for (NodeId v = 0; v < n; ++v) {
-      if (net.check_) net.check_->touch_merge_dest(v, "per-destination offsets");
+      if (check_) check_->touch_merge_dest(v, "per-destination offsets");
       arena_offsets_[v] = sum;
-      for (auto& lane : net.lanes_) {
+      for (auto& lane : lanes_) {
         const std::uint32_t c = lane.dest_counts[v];
         lane.dest_counts[v] = 0;  // ready for next round's enqueues
         lane.cursors[v] = sum;
@@ -167,12 +66,12 @@ void InProcessBackend::merge_lanes(Network& net, std::uint64_t total) {
     // Chunk c owns destination range shards_[c]; it only touches
     // dest_counts/cursors entries inside that range (across all lanes),
     // so the two chunked passes share no writable state between chunks.
-    net.pool_->run([&](unsigned c) {
-      LaneScope scope(net.check_.get(), c, EnginePhase::Merge);
-      const ShardRange range = net.shards_[c];
+    pool_->run([&](unsigned c) {
+      LaneScope scope(check_.get(), c, EnginePhase::Merge);
+      const ShardRange range = shards_[c];
       std::uint64_t w = 0;
       for (NodeId v = range.begin; v < range.end; ++v)
-        for (const auto& lane : net.lanes_) w += lane.dest_counts[v];
+        for (const auto& lane : lanes_) w += lane.dest_counts[v];
       chunk_weight_[c] = w;
     });
     std::uint64_t base = 0;
@@ -181,14 +80,14 @@ void InProcessBackend::merge_lanes(Network& net, std::uint64_t total) {
       w = base;
       base += c;
     }
-    net.pool_->run([&](unsigned c) {
-      LaneScope scope(net.check_.get(), c, EnginePhase::Merge);
-      const ShardRange range = net.shards_[c];
+    pool_->run([&](unsigned c) {
+      LaneScope scope(check_.get(), c, EnginePhase::Merge);
+      const ShardRange range = shards_[c];
       auto sum = static_cast<std::uint32_t>(chunk_weight_[c]);
       for (NodeId v = range.begin; v < range.end; ++v) {
-        if (net.check_) net.check_->touch_merge_dest(v, "per-destination offsets");
+        if (check_) check_->touch_merge_dest(v, "per-destination offsets");
         arena_offsets_[v] = sum;
-        for (auto& lane : net.lanes_) {
+        for (auto& lane : lanes_) {
           const std::uint32_t cnt = lane.dest_counts[v];
           lane.dest_counts[v] = 0;
           lane.cursors[v] = sum;
@@ -200,16 +99,15 @@ void InProcessBackend::merge_lanes(Network& net, std::uint64_t total) {
   }
   arena_.resize(static_cast<std::size_t>(total));
   auto scatter = [&](unsigned s) {
-    LaneScope scope(net.check_.get(), s, EnginePhase::Merge);
-    const obs::SpanScope span(net.trace_.get(), obs::SpanKind::MergeLane, s,
-                              net.round_);
+    LaneScope scope(check_.get(), s, EnginePhase::Merge);
+    const obs::SpanScope span(trace_.get(), obs::SpanKind::MergeLane, s,
+                              round_);
     // The scatter writes arena slots for *foreign* destinations — that is
     // the merge contract (cursor ranges are disjoint per lane) — but it
     // may only drain its own outbox and cursors. Headers relocate with a
     // plain 16-byte assignment; payloads move once, here.
-    if (net.check_) net.check_->touch_lane(s, EnginePhase::Merge,
-                                           "outbox scatter");
-    SendLane& lane = net.lanes_[s];
+    if (check_) check_->touch_lane(s, EnginePhase::Merge, "outbox scatter");
+    SendLane& lane = lanes_[s];
     for (std::size_t i = 0; i < lane.outbox.size(); ++i) {
       const MessageHeader& h = lane.outbox.header(i);
       const std::uint32_t slot = lane.cursors[h.to]++;
@@ -218,22 +116,20 @@ void InProcessBackend::merge_lanes(Network& net, std::uint64_t total) {
     }
     lane.outbox.clear();
   };
-  if (net.pool_) {
-    net.pool_->run(scatter);
+  if (pool_) {
+    pool_->run(scatter);
   } else {
-    // Sequential delivery is not always single-lane: a TCP shard child
-    // keeps one lane per peer shard and merges them all on one thread.
-    for (unsigned s = 0; s < net.lanes_.size(); ++s) scatter(s);
+    scatter(0);
   }
-  for (auto& lane : net.lanes_) {
-    net.metrics_.words_total += lane.words;
+  for (auto& lane : lanes_) {
+    metrics_.words_total += lane.words;
     lane.words = 0;
-    if (lane.max_words > net.metrics_.max_message_words)
-      net.metrics_.max_message_words = lane.max_words;  // lane max is monotone
+    if (lane.max_words > metrics_.max_message_words)
+      metrics_.max_message_words = lane.max_words;  // lane max is monotone
   }
 }
 
-std::uint64_t InProcessBackend::congest_admit(Network& net) {
+std::uint64_t Network::congest_admit() {
   // The CONGEST admission pass (congest.hpp). Candidates for node v this
   // round are its chunk's carried messages for v (FIFO, from earlier
   // rounds) followed by v's freshly merged arena segment; both orders are
@@ -252,16 +148,16 @@ std::uint64_t InProcessBackend::congest_admit(Network& net) {
   // Three steps mirror the offsets pass: decide (chunk-parallel, all
   // state destination-owned), prefix chunk totals (sequential O(S)),
   // relocate into a fresh arena + rewrite offsets (chunk-parallel).
-  const std::uint64_t budget = net.congest_.words_per_edge_per_round;
-  const bool strict = net.congest_.policy == CongestPolicy::Strict;
-  const std::uint64_t stamp = net.round_ + 1;  // this round; never the 0 init
+  const std::uint64_t budget = congest_.words_per_edge_per_round;
+  const bool strict = congest_.policy == CongestPolicy::Strict;
+  const std::uint64_t stamp = round_ + 1;  // this round; never the 0 init
   auto decide = [&](unsigned c) {
-    LaneScope scope(net.check_.get(), c, EnginePhase::Admit);
-    const obs::SpanScope span(net.trace_.get(), obs::SpanKind::AdmitLane, c,
-                              net.round_);
-    const ShardRange range = net.shards_[c];
+    LaneScope scope(check_.get(), c, EnginePhase::Admit);
+    const obs::SpanScope span(trace_.get(), obs::SpanKind::AdmitLane, c,
+                              round_);
+    const ShardRange range = shards_[c];
     CongestChunk& chunk = congest_chunks_[c];
-    if (net.check_) net.check_->touch_carry(c, "carry queue");
+    if (check_) check_->touch_carry(c, "carry queue");
     chunk.admitted.clear();
     chunk.carry_next.clear();
     // The budget decision reads only the 16-byte header; the payload is
@@ -273,7 +169,7 @@ std::uint64_t InProcessBackend::congest_admit(Network& net) {
       // A directed edge delivers to exactly one node, so its budget state
       // belongs to the destination's chunk — the property that lets the
       // admission pass parallelize with no shared writes.
-      if (net.check_) net.check_->touch_admit_dest(h.to, "per-edge budget tally");
+      if (check_) check_->touch_admit_dest(h.to, "per-edge budget tally");
       EdgeBudgetState& st = congest_edges_[key];
       if (st.stamp != stamp) {
         const bool backlogged = st.blocked && st.stamp + 1 == stamp;
@@ -294,18 +190,15 @@ std::uint64_t InProcessBackend::congest_admit(Network& net) {
                 " (" + std::to_string(h.from) + " -> " +
                 std::to_string(h.to) + ") would carry " +
                 std::to_string(budget - st.remaining + w) + " words in round " +
-                std::to_string(net.round_) + " (budget " +
-                std::to_string(budget) +
+                std::to_string(round_) + " (budget " + std::to_string(budget) +
                 " words/edge/round); offending payload: " +
                 (held == nullptr ? std::string("<empty>")
-                                 : detail::type_name(*held)) +
-                "; delivery backend: " + std::string(name()),
-            h.edge, h.from, h.to, net.round_, budget - st.remaining + w,
-            budget);
+                                 : detail::type_name(*held)),
+            h.edge, h.from, h.to, round_, budget - st.remaining + w, budget);
       }
       st.blocked = true;
       ++chunk.deferred_events;
-      if (net.check_) net.check_->touch_carry(c, "carry queue");
+      if (check_) check_->touch_carry(c, "carry queue");
       chunk.carry_next.push_back(h, std::move(p));
     };
     std::size_t cursor = 0;
@@ -321,10 +214,10 @@ std::uint64_t InProcessBackend::congest_admit(Network& net) {
     }
     chunk_weight_[c] = chunk.admitted.size();
   };
-  if (net.pool_) {
-    net.pool_->run(decide);
+  if (pool_) {
+    pool_->run(decide);
   } else {
-    for (unsigned c = 0; c < congest_chunks_.size(); ++c) decide(c);
+    decide(0);
   }
   std::uint64_t admitted_total = 0;
   carry_total_ = 0;
@@ -332,15 +225,14 @@ std::uint64_t InProcessBackend::congest_admit(Network& net) {
     CongestChunk& chunk = congest_chunks_[c];
     chunk.carry.swap(chunk.carry_next);
     carry_total_ += chunk.carry.size();
-    net.metrics_.deferrals_total += chunk.deferred_events;
+    metrics_.deferrals_total += chunk.deferred_events;
     chunk.deferred_events = 0;
     const std::uint64_t w = chunk_weight_[c];
     chunk_weight_[c] = admitted_total;  // becomes the chunk's arena base
     admitted_total += w;
   }
-  if (carry_total_ > net.metrics_.carry_peak)
-    net.metrics_.carry_peak = carry_total_;
-  if (net.trace_ && carry_total_ > 0) {
+  if (carry_total_ > metrics_.carry_peak) metrics_.carry_peak = carry_total_;
+  if (trace_ && carry_total_ > 0) {
     // Per-directed-edge carry occupancy: within a chunk's carry the same
     // directed edge's messages need not be contiguous (arrival order
     // interleaves edges sharing a destination), so count runs over the
@@ -360,7 +252,7 @@ std::uint64_t InProcessBackend::congest_admit(Network& net) {
     for (std::size_t i = 0; i < keys.size();) {
       std::size_t j = i;
       while (j < keys.size() && keys[j] == keys[i]) ++j;
-      net.trace_->edge_carry_hist().add(j - i);
+      trace_->edge_carry_hist().add(j - i);
       i = j;
     }
   }
@@ -370,10 +262,10 @@ std::uint64_t InProcessBackend::congest_admit(Network& net) {
              "or promote arena_offsets_ to uint64_t");
   arena_next_.resize(static_cast<std::size_t>(admitted_total));
   auto relocate = [&](unsigned c) {
-    LaneScope scope(net.check_.get(), c, EnginePhase::Admit);
-    const obs::SpanScope span(net.trace_.get(), obs::SpanKind::AdmitLane, c,
-                              net.round_);
-    const ShardRange range = net.shards_[c];
+    LaneScope scope(check_.get(), c, EnginePhase::Admit);
+    const obs::SpanScope span(trace_.get(), obs::SpanKind::AdmitLane, c,
+                              round_);
+    const ShardRange range = shards_[c];
     CongestChunk& chunk = congest_chunks_[c];
     auto base = static_cast<std::uint32_t>(chunk_weight_[c]);
     for (std::size_t i = 0; i < chunk.admitted.size(); ++i) {
@@ -381,17 +273,17 @@ std::uint64_t InProcessBackend::congest_admit(Network& net) {
       arena_next_.payload(base + i) = std::move(chunk.admitted.payload(i));
     }
     for (NodeId v = range.begin; v < range.end; ++v) {
-      if (net.check_) net.check_->touch_admit_dest(v, "admitted offsets");
+      if (check_) check_->touch_admit_dest(v, "admitted offsets");
       arena_offsets_[v] = base;
       base += congest_counts_[v];
     }
   };
-  if (net.pool_) {
-    net.pool_->run(relocate);
+  if (pool_) {
+    pool_->run(relocate);
   } else {
-    for (unsigned c = 0; c < congest_chunks_.size(); ++c) relocate(c);
+    relocate(0);
   }
-  arena_offsets_[net.graph_->num_nodes()] =
+  arena_offsets_[graph_->num_nodes()] =
       static_cast<std::uint32_t>(admitted_total);
   arena_.swap(arena_next_);
   return admitted_total;

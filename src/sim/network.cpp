@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <string>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -65,8 +65,7 @@ util::Xoshiro256& Context::rng() {
 Network::Network(const graph::Graph& graph, Knowledge knowledge,
                  std::uint64_t seed)
     : graph_(&graph), knowledge_(knowledge), streams_(seed),
-      par_(default_parallel_config()), congest_(default_congest_config()),
-      backend_cfg_(default_backend_config()) {
+      par_(default_parallel_config()), congest_(default_congest_config()) {
   if (default_check_enabled()) check_ = std::make_unique<OwnershipChecker>();
   {
     obs::TraceConfig tcfg = obs::default_trace_config();
@@ -75,12 +74,12 @@ Network::Network(const graph::Graph& graph, Knowledge knowledge,
   const NodeId n = graph.num_nodes();
   FL_REQUIRE(n >= 1, "network needs at least one node");
   log_n_bound_ = std::log2(std::max<double>(2.0, n));
-  backend_ = make_backend(backend_cfg_, n);
 
   incident_edges_.resize(n);
   send_cursor_.assign(n, 0);
   slot_cache_.resize(n);
   done_state_.assign(n, 0);
+  arena_offsets_.assign(n + 1, 0);
   // Lane 0 exists (fully sized) from construction so sends through a
   // pre-run Context land correctly; begin_if_needed may add more lanes.
   lanes_.resize(1);
@@ -156,7 +155,11 @@ void Network::debug_touch_node(graph::NodeId v, unsigned as_lane) {
 }
 
 void Network::debug_mutate_carry(unsigned chunk) {
-  backend_->debug_mutate_carry(*this, chunk);
+  FL_REQUIRE(chunk < congest_chunks_.size(), "carry chunk out of range");
+  if (check_) check_->touch_carry(chunk, "carry queue");
+  // Harmless when legally reached: the queue's contents are untouched.
+  auto& q = congest_chunks_[chunk].carry_next;
+  q.reserve(q.size());
 }
 
 void Network::set_congest(CongestConfig congest) {
@@ -168,22 +171,18 @@ void Network::set_congest(CongestConfig congest) {
   congest_ = congest;
 }
 
-void Network::set_backend(BackendConfig cfg) {
-  // Pre-run sends are still fine after a swap: they live in lane 0's
-  // outbox, which belongs to the Network, not the backend.
-  FL_REQUIRE(!started_, "cannot change the backend after the run started");
-  backend_cfg_ = cfg;
-  backend_ = make_backend(cfg, graph_->num_nodes());
-}
-
 InboxView Network::inbox_span(NodeId v) const {
   FL_REQUIRE(v < graph_->num_nodes(), "node id out of range");
-  return backend_->inbox(v);
+  return arena_.range(arena_offsets_[v], arena_offsets_[v + 1]);
 }
 
 std::uint64_t Network::debug_plane_allocations() const {
-  std::uint64_t total = backend_->plane_allocations();
+  std::uint64_t total = arena_.allocations() + arena_next_.allocations();
   for (const auto& lane : lanes_) total += lane.outbox.allocations();
+  for (const auto& chunk : congest_chunks_) {
+    total += chunk.carry.allocations() + chunk.carry_next.allocations() +
+             chunk.admitted.allocations();
+  }
   return total;
 }
 
@@ -323,6 +322,7 @@ void Network::begin_if_needed() {
     shards_ = partition_nodes(n, par_.threads);
   }
   lanes_.resize(shards_.size());
+  chunk_weight_.assign(shards_.size(), 0);
   // One flood over every edge (in both directions) is the canonical LOCAL
   // round; reserving that footprint up front spares the first big round
   // ~20 doubling reallocations, each of which re-moves the whole outbox.
@@ -338,15 +338,19 @@ void Network::begin_if_needed() {
       lane.cursors.assign(n, 0);
     }
   }
-  // The backend sees the final plan (shards, lanes, congest policy) before
-  // the ExecPool spins up its threads — the TCP backend forks its shard
-  // processes here, and forking after thread creation is off the table.
-  backend_->on_plan(*this);
   if (lanes_.size() > 1) pool_ = std::make_unique<ExecPool>(
       static_cast<unsigned>(lanes_.size()));
   if (check_) check_->bind_shards(shards_, n);
   if (trace_) trace_->bind_lanes(lanes_.size());
-  backend_->begin_round(*this, /*starting=*/true);
+  if (congest_.enforced()) {
+    // Budget state is per *directed* edge (index 2e + direction); carry
+    // queues and admitted buffers are per destination shard. None of it
+    // exists in LOCAL mode, which keeps the unbudgeted engine untouched.
+    congest_edges_.assign(2 * static_cast<std::size_t>(graph_->num_edges()),
+                          EdgeBudgetState{});
+    congest_chunks_.resize(shards_.size());
+    congest_counts_.assign(n, 0);
+  }
   phase_step(/*starting=*/true);
   phase_merge();
 }
@@ -381,7 +385,10 @@ void Network::phase_step(bool starting) {
       if (starting) {
         programs_[v]->on_start(ctx);
       } else {
-        programs_[v]->on_round(ctx, inbox_span(v));
+        // v is in range by construction, so the inbox comes straight off
+        // the arena; inbox_span's range check is for outside callers.
+        programs_[v]->on_round(
+            ctx, arena_.range(arena_offsets_[v], arena_offsets_[v + 1]));
       }
       const std::uint8_t now = programs_[v]->done() ? 1 : 0;
       lane.done_count += static_cast<int>(now) - static_cast<int>(done_state_[v]);
@@ -397,13 +404,23 @@ void Network::phase_step(bool starting) {
 }
 
 void Network::phase_merge() {
-  // Phase 2 — the backend's merge barrier: this round's sends become next
-  // round's inboxes (congest admission included when enforced). The
-  // Network keeps only the pipeline bookkeeping around it — metrics, the
-  // trace round record, the round counter — so every backend's rounds are
-  // accounted identically.
-  const std::uint64_t count = backend_->merge_barrier(*this);
-  carried_after_merge_ = backend_->carried();
+  // Phase 2 — merge lanes: this round's sends become next round's inboxes.
+  std::uint64_t count = 0;
+  for (const auto& lane : lanes_) count += lane.outbox.size();
+  {
+    const obs::SpanScope span(trace_.get(), obs::SpanKind::MergePhase, 0,
+                              round_);
+    merge_lanes(count);
+  }
+  // Phase 2b — congest admission: the merged arena is the canonical
+  // (thread-count-invariant) candidate order, so metering it — rather
+  // than the per-lane outboxes — keeps budgeted delivery bit-identical
+  // across lane counts for free. `count` becomes what was *delivered*.
+  if (congest_.enforced()) {
+    const obs::SpanScope span(trace_.get(), obs::SpanKind::AdmitPhase, 0,
+                              round_);
+    count = congest_admit();
+  }
   metrics_.messages_total += count;
   metrics_.messages_per_round.push_back(count);
   delivered_last_round_ = count;
@@ -412,14 +429,13 @@ void Network::phase_merge() {
     // header plane, paid only with tracing on. Post-admission, so under a
     // budget a deferred message is counted once, in the round its words
     // actually crossed.
-    const MessagePlanes& delivered = backend_->delivered();
-    for (std::size_t i = 0; i < delivered.size(); ++i)
-      trace_->message_words_hist().add(delivered.header(i).size_hint_words);
+    for (std::size_t i = 0; i < arena_.size(); ++i)
+      trace_->message_words_hist().add(arena_.header(i).size_hint_words);
     // Close the round's profile. The engine hands over model counters and
     // never reads anything back (C12) — deltas and imbalance are computed
     // on the tracer's side of the fence.
     trace_->end_round(round_, count, metrics_.words_total,
-                      metrics_.deferrals_total, carried_after_merge_,
+                      metrics_.deferrals_total, carry_total_,
                       debug_plane_allocations());
   }
   ++round_;
@@ -437,8 +453,8 @@ bool Network::all_done() const {
 bool Network::quiescent() const {
   // Phase 0 — quiesce check: no messages in flight (the last merge counted
   // what it moved, O(1)), nothing parked in a congest carry queue (O(1),
-  // snapshotted at the merge barrier), and every program done (O(S) sum).
-  return delivered_last_round_ == 0 && carried_after_merge_ == 0 && all_done();
+  // summed at the admission pass), and every program done (O(S) sum).
+  return delivered_last_round_ == 0 && carry_total_ == 0 && all_done();
 }
 
 RunStats Network::run(std::size_t max_rounds) {
@@ -457,13 +473,21 @@ RunStats Network::run(std::size_t max_rounds) {
       stats.terminated = true;
       break;
     }
-    backend_->begin_round(*this, /*starting=*/false);
     phase_step(/*starting=*/false);
     phase_merge();
   }
   stats.rounds = round_;
   stats.messages = metrics_.messages_total;
   return stats;
+}
+
+std::uint64_t Network::max_carried_words() const {
+  std::uint64_t max_words = 0;
+  for (const auto& chunk : congest_chunks_)
+    for (std::size_t i = 0; i < chunk.carry.size(); ++i)
+      max_words = std::max<std::uint64_t>(
+          max_words, chunk.carry.header(i).size_hint_words);
+  return max_words;
 }
 
 RunStats Network::run_until_drained(std::size_t stall_cap) {
@@ -498,15 +522,15 @@ RunStats Network::run_until_drained(std::size_t stall_cap) {
     }
     if (delivered_last_round_ > 0) {
       carry_wait = 0;
-    } else if (carried_after_merge_ > 0) {
+    } else if (carry_total_ > 0) {
       ++carry_wait;
       const std::uint64_t budget = congest_.words_per_edge_per_round;
       const std::uint64_t bound =
-          (backend_->max_carried_words() + budget - 1) / budget + 1;
+          (max_carried_words() + budget - 1) / budget + 1;
       FL_ENSURE(carry_wait <= bound,
                 "carry queues wedged: " + std::to_string(carry_wait) +
                     " consecutive zero-delivery rounds with " +
-                    std::to_string(carried_after_merge_) +
+                    std::to_string(carry_total_) +
                     " messages parked exceeds the banking bound " +
                     std::to_string(bound) + " at round " +
                     std::to_string(round_) + " — admission-pass engine bug");
@@ -521,7 +545,6 @@ RunStats Network::run_until_drained(std::size_t stall_cap) {
                      " with programs still not done — a phase failed to "
                      "advance on its barrier");
     }
-    backend_->begin_round(*this, /*starting=*/false);
     phase_step(/*starting=*/false);
     phase_merge();
   }
@@ -537,7 +560,6 @@ void Network::step(std::size_t rounds) {
     if (rounds > 0) --rounds;
   }
   for (std::size_t r = 0; r < rounds; ++r) {
-    backend_->begin_round(*this, /*starting=*/false);
     phase_step(/*starting=*/false);
     phase_merge();
   }

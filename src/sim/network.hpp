@@ -28,12 +28,9 @@
 // carry queue belong to exactly one chunk — and preserves the engine's
 // bit-determinism across thread counts.
 //
-// The merge + admission machinery itself lives behind the DeliveryBackend
-// interface (sim/backend.hpp): the Network owns the pipeline — quiesce,
-// stepping, metrics, tracing — and a backend owns delivery. The default
-// InProcessBackend is the SoA-arena engine described above; the TCP
-// backend (src/net/) runs the same rounds across forked shard processes
-// with this engine as its oracle. FL_SIM_BACKEND selects the default.
+// One class owns the whole round: the pipeline, the send path and the
+// delivery arena. The merge and admission passes are private methods
+// defined in merge.cpp; network.cpp holds everything else.
 #pragma once
 
 #include <functional>
@@ -43,7 +40,6 @@
 
 #include "graph/graph.hpp"
 #include "obs/trace.hpp"
-#include "sim/backend.hpp"
 #include "sim/check.hpp"
 #include "sim/congest.hpp"
 #include "sim/exec.hpp"
@@ -126,19 +122,9 @@ class Network {
   void set_congest(CongestConfig congest);
   CongestConfig congest() const { return congest_; }
 
-  /// Delivery backend (defaults to FL_SIM_BACKEND, else in-process); only
-  /// legal before the first round. Contract C14: for any fixed seed and
-  /// congest config, RunStats, Metrics and golden traces are bit-identical
-  /// across backends — the backend is a transport knob, never a semantic
-  /// one.
-  void set_backend(BackendConfig cfg);
-  BackendConfig backend_config() const { return backend_cfg_; }
-  DeliveryBackend& backend() { return *backend_; }
-  const DeliveryBackend& backend() const { return *backend_; }
-
   /// Messages held back by the budget and not yet delivered. Zero in LOCAL
   /// mode; a budgeted run is quiescent only once this drains.
-  std::uint64_t carried_messages() const { return carried_after_merge_; }
+  std::uint64_t carried_messages() const { return carry_total_; }
 
   /// The deterministic silence predicate for event-driven phase barriers:
   /// the last merge delivered nothing and no message is parked in a carry
@@ -149,7 +135,7 @@ class Network {
   /// and is stable for the whole step phase (it only mutates at the next
   /// merge). Programs read it through Context::network_silent().
   bool round_silent() const {
-    return delivered_last_round_ == 0 && carried_after_merge_ == 0;
+    return delivered_last_round_ == 0 && carry_total_ == 0;
   }
 
   /// Logical ownership / phase checking (sim/check.hpp; defaults to the
@@ -227,21 +213,21 @@ class Network {
 
  private:
   friend class Context;
-  friend class InProcessBackend;
-  friend class fl::net::TcpBackend;
 
   void enqueue(SendLane& lane, graph::NodeId from, graph::EdgeId edge,
                Payload payload, std::uint32_t size_hint_words);
   graph::NodeId resolve_slow(graph::NodeId from, graph::EdgeId edge,
                              std::span<const graph::Incidence> inc);
   void begin_if_needed();
-  // The per-round phases, in execution order. Merge + admission live in
-  // the backend (sim/backend.cpp); phase_merge wraps its barrier with the
-  // Network-owned bookkeeping (metrics, trace round record, round_).
+  // The per-round phases, in execution order. merge_lanes and
+  // congest_admit are defined in merge.cpp.
   bool quiescent() const;
   void phase_step(bool starting);
   void phase_merge();
+  void merge_lanes(std::uint64_t total);
+  std::uint64_t congest_admit();  // budget pass over the merged arena
   bool all_done() const;  // O(S) sum of the lanes' done-counters
+  std::uint64_t max_carried_words() const;  // scan of the carry queues
 
   const graph::Graph* graph_;
   Knowledge knowledge_;
@@ -294,17 +280,63 @@ class Network {
   // phase never re-scans programs: all_done() sums S counters.
   std::vector<std::uint8_t> done_state_;
 
-  // The delivery backend: owns the arena, the merge, and all CONGEST
-  // admission state (see sim/backend.hpp; the in-process engine's storage
-  // design is documented on InProcessBackend). congest_ stays here — it is
-  // the Network's *policy*; the backend is the mechanism enforcing it.
+  // Delivery storage: this round's messages, counting-sorted by
+  // destination, held as structure-of-arrays planes (message.hpp). Node
+  // v's inbox is the arena's element range [arena_offsets_[v],
+  // arena_offsets_[v + 1]) — one offsets table indexes both planes. The
+  // merge's offsets walk and the congest metering read only the 16-byte
+  // header plane; payloads move once, at the scatter. Rebuilt in place
+  // each round with sticky capacity (steady-state rounds perform zero
+  // plane allocations — debug_plane_allocations() pins it);
+  // per-destination counts are maintained incrementally by enqueue() in
+  // the sending lane (SendLane::dest_counts), so the merge needs no
+  // counting pass over the outboxes — offsets arithmetic plus one
+  // relocation pass. 32-bit offsets keep the randomly accessed side
+  // arrays half the size; a round is capped below 2^32 messages, which
+  // merge_lanes enforces with an explicit overflow guard (the n=10M path
+  // must fail loudly, never wrap). With a pool, the offsets arithmetic
+  // itself runs chunk-parallel over the node shards (merge_lanes).
+  //
+  // arena_next_ is the persistent second buffer of the double-buffered
+  // arena: the admission pass relocates into it and the two swap, so both
+  // buffers' capacities survive across rounds and the engine never holds
+  // more than the current + next frontier (never the run).
+  MessagePlanes arena_;
+  MessagePlanes arena_next_;
+  std::vector<std::uint32_t> arena_offsets_;   // size n + 1
+  std::vector<std::uint64_t> chunk_weight_;    // offsets scratch, size S
+
+  // CONGEST bandwidth budget (congest.hpp). When enforced, the merge ends
+  // with an admission pass over the fresh arena: per directed edge the
+  // pass meters words against `congest_.words_per_edge_per_round`,
+  // admitting in FIFO order (this chunk's carry from earlier rounds, then
+  // this round's arrivals) and spilling the overflow back into the
+  // chunk's carry. All admission state is destination-owned: a directed
+  // edge (edge id + direction) delivers to exactly one node, so chunk c —
+  // the destination shard shards_[c] — is the only writer of its edges'
+  // budget tallies and of its carry queues, and the pass parallelizes
+  // over chunks with no shared writes, exactly like the offsets pass.
   CongestConfig congest_;
-  BackendConfig backend_cfg_;
-  std::unique_ptr<DeliveryBackend> backend_;
-  // backend_->carried() snapshot taken at the merge barrier, so
-  // round_silent() and carried_messages() stay O(1) reads that mutate only
-  // at the merge — the stability contract programs rely on.
-  std::uint64_t carried_after_merge_ = 0;
+  struct EdgeBudgetState {
+    std::uint64_t remaining = 0;  ///< capacity left in the stamped round;
+                                  ///< banks across rounds while blocked
+    std::uint64_t stamp = 0;      ///< round_ + 1 of the last touch
+    bool blocked = false;         ///< a message deferred in stamped round
+  };
+  std::vector<EdgeBudgetState> congest_edges_;  // size 2m: 2e + (to>from)
+  // All three per-chunk buffers are MessagePlanes with arena-style sticky
+  // capacity: clear() + swap() between rounds, never reallocation, so a
+  // steady-state budgeted round is as allocation-free as a LOCAL one.
+  struct CongestChunk {
+    MessagePlanes carry;       // deferred; destination-ascending,
+                               // FIFO within each directed edge
+    MessagePlanes carry_next;  // double buffer for the next round
+    MessagePlanes admitted;    // this round, destination-ascending
+    std::uint64_t deferred_events = 0;
+  };
+  std::vector<CongestChunk> congest_chunks_;   // one per shard
+  std::vector<std::uint32_t> congest_counts_;  // admitted per node, size n
+  std::uint64_t carry_total_ = 0;  // messages across all carry queues
 
   // Logical ownership / phase checker (check.hpp). Null unless FL_SIM_CHECK
   // (or set_check) opted in — every instrumentation site below is a single

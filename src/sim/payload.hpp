@@ -1,10 +1,12 @@
 // Small-buffer type-erased message payloads for the delivery hot path.
 //
-// fl::sim::Payload replaces the seed's any-based type erasure. The
-// delivery loop moves every message at least twice per round (outbox ->
-// arena scatter), and the standard any charges an indirect manager call —
-// plus a heap allocation for anything bigger than one pointer — per move.
-// Payload is designed around the relocation cost instead:
+// A message's payload is a value that lives in one process: the round
+// engine (network.hpp) moves it from the sender's lane outbox into the
+// delivery arena, and under a CONGEST budget possibly through a carry
+// queue, but it is never copied or serialized. Every payload is moved at
+// least twice per round, and the standard any charges an indirect manager
+// call — plus a heap allocation for anything bigger than one pointer — per
+// move. Payload is designed around that relocation cost instead:
 //
 //   * 24 bytes of inline storage (kInlineSize). Every hot-path payload
 //     struct in the repo fits; protocols static_assert that theirs do, so
@@ -19,15 +21,6 @@
 //     heap allocation, exactly what the old erasure did for them.
 //   * payload_as<T> reports the *expected vs. held* type names on
 //     mismatch (BadPayloadCast) instead of a bare bad-cast.
-//   * Payloads are wire-encodable as well as inline-relocatable: the ops
-//     table carries serialize / deserialize hooks (explicit little-endian
-//     framing via sim/wire.hpp) plus a stable wire-type id, and every
-//     encodable type self-registers in a process-wide decode registry at
-//     static-init time. That is what lets a delivery backend ship the
-//     same payloads across process boundaries (src/net's TCP shard
-//     backend) while the in-process engine stays the oracle. Types
-//     without an encoder still work in-process; wire_encode names the
-//     offending type when a network backend meets one.
 //
 // The container is move-only: a Payload uniquely owns its value. Protocols
 // that flood one logical value to many neighbours construct one Payload
@@ -43,8 +36,6 @@
 #include <typeinfo>
 #include <utility>
 
-#include "sim/wire.hpp"
-
 #if defined(__GNUG__)
 #include <cstdlib>
 #include <cxxabi.h>
@@ -52,14 +43,11 @@
 
 namespace fl::sim {
 
-class Payload;
-
 namespace detail {
 
 /// Per-type operations, instantiated once per payload type. Only the slow
 /// paths live here; trivially-relocatable payloads never call through it
-/// on a move, and the wire hooks run only when a network backend frames
-/// the value for a socket.
+/// on a move.
 struct PayloadOps {
   /// Move-construct `dst` from `src`, destroying `src`. Null for types
   /// relocated by memcpy (trivially-copyable inline, heap-held).
@@ -67,36 +55,8 @@ struct PayloadOps {
   /// Destroy the value rooted at the storage slot (for heap-held types the
   /// slot holds the owning pointer). Null when destruction is a no-op.
   void (*destroy)(void* slot) noexcept;
-  /// Encode the value rooted at the storage slot onto the wire (explicit
-  /// little-endian framing, sim/wire.hpp). Null when the type has no
-  /// encoder — in-process delivery never needs one.
-  void (*serialize)(const void* slot, WireWriter& out);
-  /// Decode one value from the wire into `out` (empty on entry). Null
-  /// exactly when `serialize` is.
-  void (*deserialize)(Payload& out, WireReader& in);
-  /// Stable wire-type id: FNV-1a-64 of the mangled type name. Identical
-  /// across fork()ed shard processes (one binary image); null when the
-  /// type is not wire-encodable.
-  std::uint64_t (*wire_id)();
   /// For diagnostics only.
   const std::type_info* type;
-};
-
-/// Process-wide wire-type registry (src/sim/payload.cpp). Registration
-/// happens during static initialization — every encodable payload type a
-/// binary can construct is decodable in that binary, including in shard
-/// children forked before any message flows.
-bool register_wire_type(std::uint64_t id, const PayloadOps* ops);
-const PayloadOps* find_wire_type(std::uint64_t id) noexcept;
-
-/// Wire hooks per type, selected on encodability so non-encodable types
-/// never instantiate an encoder (the primary leaves all hooks null).
-/// Defined after Payload — deserialize constructs one.
-template <typename T, bool Encodable>
-struct WireOps {
-  static constexpr void (*serialize)(const void*, WireWriter&) = nullptr;
-  static constexpr void (*deserialize)(Payload&, WireReader&) = nullptr;
-  static constexpr std::uint64_t (*wire_id)() = nullptr;
 };
 
 /// Demangle a std::type_info name where the ABI allows; otherwise return
@@ -156,11 +116,6 @@ class Payload {
   template <typename V, typename T = std::decay_t<V>,
             typename = std::enable_if_t<!std::is_same_v<T, Payload>>>
   Payload(V&& value) {  // NOLINT(google-explicit-constructor): any-style
-    if constexpr (wire_encodable_v<T>) {
-      // odr-use the registrar so T lands in the wire-decode registry at
-      // static-init time (see wire_registered_).
-      static_cast<void>(&wire_registered_<T>);
-    }
     if constexpr (stores_inline<T>) {
       ::new (static_cast<void*>(storage_)) T(std::forward<V>(value));
       bits_ = tag_of<T>();
@@ -224,49 +179,6 @@ class Payload {
     return bits_ == 0 ? nullptr : ops()->type;
   }
 
-  /// True when T can travel on the wire. Protocols static_assert this for
-  /// their payload structs alongside stores_inline / trivially_relocatable
-  /// so a non-encodable payload is a compile error, not a runtime throw
-  /// on the first networked run.
-  template <typename T>
-  static constexpr bool wire_encodable = wire_encodable_v<std::decay_t<T>>;
-
-  /// True when the *held* value can be wire-encoded (false when empty).
-  bool can_wire_encode() const noexcept {
-    return bits_ != 0 && ops()->serialize != nullptr;
-  }
-
-  /// Wire-type id of the held value: the key a receiver passes to
-  /// wire_decode. Zero when empty or not encodable.
-  std::uint64_t wire_type() const noexcept {
-    return can_wire_encode() ? ops()->wire_id() : 0;
-  }
-
-  /// Encode the held value onto `out` (explicit little-endian framing).
-  /// Throws WireError naming the held type when it has no encoder.
-  void wire_encode(WireWriter& out) const {
-    if (bits_ == 0) throw WireError("wire_encode: payload is empty");
-    const detail::PayloadOps* o = ops();
-    if (o->serialize == nullptr)
-      throw WireError("payload type is not wire-encodable: " +
-                      detail::type_name(*o->type) +
-                      " (declare its fields with FL_WIRE_FIELDS)");
-    o->serialize(storage_, out);
-  }
-
-  /// Decode one payload of the given wire type from `in`. Throws
-  /// WireError on an id no type in this binary registered, or on a
-  /// malformed stream.
-  static Payload wire_decode(std::uint64_t wire_id, WireReader& in) {
-    const detail::PayloadOps* o = detail::find_wire_type(wire_id);
-    if (o == nullptr)
-      throw WireError("wire_decode: unknown wire type id " +
-                      std::to_string(wire_id));
-    Payload out;
-    o->deserialize(out, in);
-    return out;
-  }
-
  private:
   // Tag bits carried in the low bits of the ops pointer (PayloadOps
   // objects are at least 8-aligned). They let the relocation and
@@ -307,17 +219,7 @@ class Payload {
           ? &OpsFor<T>::destroy_heap
           : (std::is_trivially_destructible_v<T> ? nullptr
                                                  : &OpsFor<T>::destroy_inline),
-      detail::WireOps<T, wire_encodable_v<T>>::serialize,
-      detail::WireOps<T, wire_encodable_v<T>>::deserialize,
-      detail::WireOps<T, wire_encodable_v<T>>::wire_id,
       &typeid(T)};
-
-  /// Self-registration in the wire-decode registry: odr-used from the
-  /// value constructor for encodable types, so registration runs during
-  /// static initialization of any binary that can construct T.
-  template <typename T>
-  static inline const bool wire_registered_ = detail::register_wire_type(
-      detail::WireOps<T, true>::id(), &ops_instance<T>);
 
   /// The ops pointer for T with its category bits, as a single word. Also
   /// the type-identity token compared by get_if (ops_instance<T> has one
@@ -355,43 +257,5 @@ class Payload {
 
 static_assert(sizeof(Payload) == Payload::kInlineSize + sizeof(std::uintptr_t),
               "Payload must stay one inline buffer plus one tagged word");
-
-namespace detail {
-
-/// Wire hooks for encodable types. The slot-resolution mirrors get_if:
-/// inline values live in the buffer, heap-held values behind the owning
-/// pointer the buffer stores by memcpy.
-template <typename T>
-struct WireOps<T, true> {
-  static std::uint64_t id() {
-    static const std::uint64_t v = [] {
-      const char* name = typeid(T).name();
-      return fnv1a64(name, std::char_traits<char>::length(name));
-    }();
-    return v;
-  }
-
-  static void do_serialize(const void* slot, WireWriter& out) {
-    if constexpr (Payload::stores_inline<T>) {
-      wire_put(out, *std::launder(reinterpret_cast<const T*>(slot)));
-    } else {
-      const T* owner;
-      std::memcpy(&owner, slot, sizeof(owner));
-      wire_put(out, *owner);
-    }
-  }
-
-  static void do_deserialize(Payload& out, WireReader& in) {
-    out = Payload(wire_get<T>(in));
-  }
-
-  static constexpr void (*serialize)(const void*, WireWriter&) =
-      &do_serialize;
-  static constexpr void (*deserialize)(Payload&, WireReader&) =
-      &do_deserialize;
-  static constexpr std::uint64_t (*wire_id)() = &id;
-};
-
-}  // namespace detail
 
 }  // namespace fl::sim

@@ -118,11 +118,55 @@ TEST(GraphIo, ReadSkipsComments) {
   EXPECT_EQ(g.num_edges(), 1u);
 }
 
+// Every malformed input must be rejected with a ContractViolation by both
+// readers: the in-memory one and the streamed one, which builds without a
+// duplicate-detection hash set.
 TEST(GraphIo, ReadRejectsGarbage) {
-  std::stringstream no_n("e 0 1\n");
-  EXPECT_THROW(read_edge_list(no_n), util::ContractViolation);
-  std::stringstream bad_tag("n 2\nx 0 1\n");
-  EXPECT_THROW(read_edge_list(bad_tag), util::ContractViolation);
+  const struct {
+    const char* name;
+    const char* text;
+  } cases[] = {
+      {"no 'n' line", "e 0 1\n"},
+      {"unknown tag", "n 2\nx 0 1\n"},
+      {"duplicate edge, same orientation", "n 4\ne 1 2\ne 1 2\n"},
+      {"duplicate edge, flipped orientation", "n 4\ne 1 2\ne 2 1\n"},
+      {"trailing token on 'e'", "n 4\ne 1 2 3\n"},
+      {"trailing token on 'n'", "n 4 9\ne 1 2\n"},
+      {"junk glued to an endpoint", "n 4\ne 1 2x\n"},
+      {"negative node count", "n -1\n"},
+      {"negative endpoint", "n 4\ne -1 2\n"},
+      {"endpoint out of range", "n 4\ne 0 4\n"},
+      {"self-loop", "n 4\ne 2 2\n"},
+      {"truncated 'e' line", "n 4\ne 1\n"},
+  };
+  for (const auto& c : cases) {
+    std::istringstream in_mem(c.text);
+    EXPECT_THROW((void)read_edge_list(in_mem), util::ContractViolation)
+        << "read_edge_list accepted: " << c.name;
+    std::istringstream in_stream(c.text);
+    EXPECT_THROW((void)read_edge_list_streamed(in_stream),
+                 util::ContractViolation)
+        << "read_edge_list_streamed accepted: " << c.name;
+  }
+}
+
+TEST(GraphIo, ReadersAgreeOnValidInput) {
+  const char* cases[] = {
+      "n 1\n",
+      "n 3\ne 0 1\ne 1 2\ne 0 2\n",
+      "# header\nn 4\n# mid\ne 3 0\ne 1 2\n",
+      "n 4\ne 0 1   \ne\t2 3\r\n",
+  };
+  for (const char* text : cases) {
+    std::istringstream in_mem(text);
+    std::istringstream in_stream(text);
+    const Graph a = read_edge_list(in_mem);
+    const Graph b = read_edge_list_streamed(in_stream);
+    EXPECT_EQ(a.num_nodes(), b.num_nodes()) << text;
+    ASSERT_EQ(a.num_edges(), b.num_edges()) << text;
+    for (EdgeId e = 0; e < a.num_edges(); ++e)
+      EXPECT_EQ(a.edges()[e], b.edges()[e]) << text;
+  }
 }
 
 TEST(GraphIo, DotHighlightsSpannerEdges) {

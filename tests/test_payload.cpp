@@ -30,7 +30,6 @@ struct TrivialSmall {  // inline, memcpy-relocatable
 };
 static_assert(Payload::stores_inline<TrivialSmall>);
 static_assert(Payload::trivially_relocatable<TrivialSmall>);
-FL_WIRE_FIELDS(TrivialSmall, a, b);  // padded: field-wise, never raw bytes
 
 struct SharedSmall {  // inline, but needs real move/destroy calls
   std::shared_ptr<int> p;
@@ -39,39 +38,23 @@ static_assert(Payload::stores_inline<SharedSmall>);
 // If the arena ever started memcpy-relocating a shared_ptr-owning type,
 // this is the assert that must fire.
 static_assert(!Payload::trivially_relocatable<SharedSmall>);
-FL_WIRE_FIELDS(SharedSmall, p);
 
 struct Oversized {  // > kInlineSize: heap fallback
   std::uint64_t words[5] = {0, 0, 0, 0, 0};
 };
 static_assert(sizeof(Oversized) > Payload::kInlineSize);
 static_assert(!Payload::stores_inline<Oversized>);
-// No padding: the raw-bytes default codec applies, no declaration needed.
-static_assert(wire_encodable_v<Oversized>);
 
 struct Overaligned {  // alignment the inline buffer cannot honour
   alignas(32) std::uint64_t v = 0;
 };
 static_assert(!Payload::stores_inline<Overaligned>);
-FL_WIRE_FIELDS(Overaligned, v);  // alignment padding must not ship
 
 struct OversizedOwner {  // heap fallback that owns a resource
   std::shared_ptr<int> p;
   std::uint64_t pad[4] = {0, 0, 0, 0};
 };
 static_assert(!Payload::stores_inline<OversizedOwner>);
-// Hand-written codec: FL_WIRE_FIELDS cannot spell a C-array field.
-inline void fl_wire_put(WireWriter& w, const OversizedOwner& v) {
-  wire_put(w, v.p);
-  for (const auto x : v.pad) w.u64(x);
-}
-inline OversizedOwner fl_wire_get(WireReader& r, WireTag<OversizedOwner>) {
-  OversizedOwner v;
-  wire_get_into(r, v.p);
-  for (auto& x : v.pad) x = r.u64();
-  return v;
-}
-static_assert(wire_encodable_v<OversizedOwner>);
 
 TEST(Payload, InlineRoundTrip) {
   Payload p(TrivialSmall{41, 7});
