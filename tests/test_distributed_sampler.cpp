@@ -262,8 +262,10 @@ TEST(DistributedSampler, OutputFingerprintPinned) {
   // the protocol's step code (peeling, tree bookkeeping) must leave every
   // value below unchanged; a moved hash means the protocol now builds a
   // different spanner or sends different traffic. Each constant folds one
-  // (graph, budget) row over k×h, barrier mode and lane count; the lane
-  // count must not matter, so 1 and 4 lanes fold the same value twice.
+  // (graph, budget) row over k×h and lane count; the lane count must not
+  // matter, so 1 and 4 lanes fold the same value twice. The budget picks
+  // the phase barrier: LOCAL runs the fixed timetable, budgets 2 and 8 run
+  // event-driven barriers.
   util::Xoshiro256 rng(211);
   const std::vector<std::pair<std::string, Graph>> graphs = {
       {"K_40", graph::complete(40)},
@@ -277,15 +279,13 @@ TEST(DistributedSampler, OutputFingerprintPinned) {
   const std::vector<std::pair<unsigned, unsigned>> kh = {{1, 2}, {2, 2}};
   // Graphs this small admit only k = h = 1 (k <= log log n, h <= log n).
   const std::vector<std::pair<unsigned, unsigned>> kh_tiny = {{1, 1}};
-  const core::BarrierMode barriers[] = {core::BarrierMode::FixedSchedule,
-                                        core::BarrierMode::EventDriven};
   // Rows follow `graphs`; columns are the budgets LOCAL, 2 and 8 words.
   const std::uint64_t want[5][3] = {
-      {0x5fdf5d2667524435ull, 0x35fdc6ec5b2d7349ull, 0x189f2ab91421476dull},
-      {0x2404caed3702b7ddull, 0xc34fcb6b45d61d59ull, 0xec8e639034f07d3dull},
-      {0xbfabb1a2e00efd49ull, 0x2bbe6cc8ff6bc991ull, 0xfbfcd537c6058d05ull},
-      {0xa9ada106c54c389dull, 0x68acf20db18f7295ull, 0xa9ada106c54c389dull},
-      {0x419cb9fc97002259ull, 0xf4844e8f8ac9bbedull, 0x419cb9fc97002259ull},
+      {0x0357e85e68df6c5dull, 0x7ad3d2d706cd8c41ull, 0xca50e782fff48739ull},
+      {0x81372342a31fad9dull, 0x66982a2d556613ddull, 0x9e90b5b78d09e471ull},
+      {0xa0815743a97ac4b9ull, 0x993837c1fcd0571dull, 0xcd750454c111dca1ull},
+      {0xb8fe8e8dd57dff01ull, 0xe4e84377a9e1a715ull, 0x49d9319d179fb8e1ull},
+      {0x5f930029372fc9a9ull, 0x4a4656ace343d281ull, 0x38600917aa02bf15ull},
   };
   for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
     const auto& [name, g] = graphs[gi];
@@ -293,33 +293,27 @@ TEST(DistributedSampler, OutputFingerprintPinned) {
       const std::uint64_t budget = budgets[bi];
       testing::TraceHash row;
       for (const auto& [k, h] : g.num_nodes() < 8 ? kh_tiny : kh) {
-        for (const auto barrier : barriers) {
-          auto cfg = SamplerConfig::bench_profile(k, h, 1000 + 10 * k + h);
-          cfg.barriers = barrier;
-          cfg.congest =
-              budget == 0
-                  ? sim::CongestConfig{}
-                  : sim::CongestConfig{budget, sim::CongestPolicy::Defer};
-          // Unstretched windows: under a binding budget the fixed
-          // timetable overruns them, so late-traffic paths are pinned too.
-          std::optional<std::uint64_t> first;
-          for (const unsigned lanes : {1u, 4u}) {
-            const EnvGuard env("FL_SIM_THREADS", std::to_string(lanes));
-            const auto run = core::run_distributed_sampler(g, cfg);
-            const std::uint64_t fp = run_fingerprint(run);
-            const std::string at =
-                name + " budget=" + std::to_string(budget) +
-                " k=" + std::to_string(k) + " h=" + std::to_string(h) +
-                " barrier=" + std::to_string(static_cast<int>(barrier)) +
-                " lanes=" + std::to_string(lanes);
-            ASSERT_TRUE(run.stats.terminated) << at;
-            if (first) {
-              EXPECT_EQ(fp, *first) << at;
-            } else {
-              first = fp;
-            }
-            row.u64(fp);
+        auto cfg = SamplerConfig::bench_profile(k, h, 1000 + 10 * k + h);
+        cfg.congest =
+            budget == 0
+                ? sim::CongestConfig{}
+                : sim::CongestConfig{budget, sim::CongestPolicy::Defer};
+        std::optional<std::uint64_t> first;
+        for (const unsigned lanes : {1u, 4u}) {
+          const EnvGuard env("FL_SIM_THREADS", std::to_string(lanes));
+          const auto run = core::run_distributed_sampler(g, cfg);
+          const std::uint64_t fp = run_fingerprint(run);
+          const std::string at =
+              name + " budget=" + std::to_string(budget) +
+              " k=" + std::to_string(k) + " h=" + std::to_string(h) +
+              " lanes=" + std::to_string(lanes);
+          ASSERT_TRUE(run.stats.terminated) << at;
+          if (first) {
+            EXPECT_EQ(fp, *first) << at;
+          } else {
+            first = fp;
           }
+          row.u64(fp);
         }
       }
       EXPECT_EQ(row.value(), want[gi][bi])
