@@ -130,27 +130,21 @@ int main(int argc, char** argv) {
   }
 
   // (d) --congest: the same Sampler under an enforced per-edge word budget
-  // (sim/congest.hpp), A/B'd between the two barrier modes. The fixed
-  // timetable provisions every phase window for the worst case (slack =
-  // ceil(2W/B)+1 rounds per scheduled round, W the largest LOCAL message);
-  // the event-driven barrier instead advances a phase the merge round its
-  // traffic drains, so it pays only what the deferrals actually cost.
-  // Message counts and the spanner must match the LOCAL run exactly in
-  // *both* modes: a budget delays traffic, it never drops or reorders a
-  // decision (core's root handlers canonicalise their accumulation order).
-  //
-  // The fixed baseline is executed at deg 4 and 8; at deg 16 and 32 the
-  // boundary lists (hence the slack) grow so large that running the
-  // stretched timetable would dominate the whole bench, so those rows
-  // report the provisioned timetable length (base rounds x slack — the
-  // same model quantity Metrics::barrier_rounds_saved is measured
-  // against) in the "fixed rounds" column instead.
+  // (sim/congest.hpp), against its LOCAL run. The budget switches the
+  // Sampler to event-driven phase barriers: a phase advances the merge
+  // round its traffic drains, so the run pays only what the deferrals
+  // actually cost. Message counts and the spanner must match the LOCAL run
+  // exactly: a budget delays traffic, it never drops or reorders a decision
+  // (core's root handlers canonicalise their accumulation order). At degree
+  // <= 8 the budgeted run must also finish in fewer rounds than LOCAL's
+  // fixed timetable, which no timetable-bound run can do — proof that the
+  // barrier engages.
   if (congest_section) {
     const std::uint64_t budget = 8;
-    util::Table table({"n", "avg deg", "budget", "max msg words", "slack",
-                       "local rounds", "fixed rounds", "adaptive rounds",
-                       "stretch", "rounds_saved_vs_slack", "deferrals",
-                       "messages", "words", "spanner == local?"});
+    util::Table table({"n", "avg deg", "budget", "max msg words",
+                       "local rounds", "budgeted rounds", "stretch",
+                       "deferrals", "messages", "words",
+                       "spanner == local?"});
     for (const double deg : {4.0, 8.0, 16.0, 32.0}) {
       const graph::NodeId n = env.quick ? 256 : 512;
       util::Xoshiro256 rng(env.seed);
@@ -161,50 +155,33 @@ int main(int argc, char** argv) {
       // cannot budget it out from under the comparison.
       cfg.congest = sim::CongestConfig{};
       const auto local = core::run_distributed_sampler(g, cfg);
-      const std::uint64_t max_words = local.metrics.max_message_words;
-      const auto slack =
-          static_cast<unsigned>((2 * max_words + budget - 1) / budget + 1);
 
       cfg.congest = sim::CongestConfig{budget, sim::CongestPolicy::Defer};
-      cfg.barriers = core::BarrierMode::EventDriven;
-      const auto adaptive = core::run_distributed_sampler(g, cfg);
-      FL_REQUIRE(adaptive.stats.messages == local.stats.messages,
-                 "adaptive budgeted sampler sent a different message count "
-                 "than LOCAL — the budget must delay, never drop");
-      FL_REQUIRE(adaptive.edges == local.edges,
-                 "adaptive budgeted sampler built a different spanner than "
-                 "LOCAL — a root handler is delivery-order dependent");
-
-      std::size_t fixed_rounds =
-          adaptive.stats.rounds + adaptive.metrics.barrier_rounds_saved;
+      const auto budgeted = core::run_distributed_sampler(g, cfg);
+      FL_REQUIRE(budgeted.stats.messages == local.stats.messages,
+                 "budgeted sampler sent a different message count than "
+                 "LOCAL — the budget must delay, never drop");
+      FL_REQUIRE(budgeted.edges == local.edges,
+                 "budgeted sampler built a different spanner than LOCAL — "
+                 "a root handler is delivery-order dependent");
       if (deg <= 8.0) {
-        cfg.barriers = core::BarrierMode::FixedSchedule;
-        cfg.schedule_slack = slack;
-        const auto fixed = core::run_distributed_sampler(g, cfg);
-        FL_REQUIRE(fixed.stats.messages == local.stats.messages,
-                   "fixed budgeted sampler sent a different message count — "
-                   "its schedule slack no longer covers the deferral delays");
-        FL_REQUIRE(fixed.edges == local.edges,
-                   "fixed budgeted sampler built a different spanner than "
-                   "LOCAL");
-        FL_REQUIRE(adaptive.stats.rounds < fixed.stats.rounds,
-                   "event-driven barriers failed to beat the slack-stretched "
-                   "timetable");
-        fixed_rounds = fixed.stats.rounds;
+        FL_REQUIRE(budgeted.stats.rounds < local.stats.rounds,
+                   "budgeted sampler did not finish below LOCAL's fixed "
+                   "timetable — the event-driven barrier did not engage");
       }
-      table.add(static_cast<std::size_t>(n), deg, budget, max_words, slack,
-                local.stats.rounds, fixed_rounds, adaptive.stats.rounds,
-                util::fixed(static_cast<double>(adaptive.stats.rounds) /
+      table.add(static_cast<std::size_t>(n), deg, budget,
+                local.metrics.max_message_words, local.stats.rounds,
+                budgeted.stats.rounds,
+                util::fixed(static_cast<double>(budgeted.stats.rounds) /
                                 static_cast<double>(local.stats.rounds),
                             2),
-                adaptive.metrics.barrier_rounds_saved,
-                adaptive.metrics.deferrals_total, adaptive.stats.messages,
-                adaptive.metrics.words_total, adaptive.edges == local.edges);
+                budgeted.metrics.deferrals_total, budgeted.stats.messages,
+                budgeted.metrics.words_total, budgeted.edges == local.edges);
     }
     env.emit(table,
-             "E6d — Sampler under a CONGEST word budget: fixed "
-             "slack-stretched timetable vs event-driven phase barriers "
-             "(Defer, message counts and spanner pinned to LOCAL)");
+             "E6d — Sampler under a CONGEST word budget: LOCAL fixed "
+             "timetable vs budgeted event-driven phase barriers (Defer, "
+             "message counts and spanner pinned to LOCAL)");
   }
   return 0;
 }

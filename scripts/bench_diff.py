@@ -45,16 +45,6 @@ REPO = Path(__file__).resolve().parent.parent
 TIMING_MARKERS = ("per_sec", "sec", "ms/", "time", "wall", "_over_", "rss",
                   "_ns")
 
-# "rounds_saved" covers E6d's rounds_saved_vs_slack and the micro-perf
-# sweep's barrier_rounds_saved: both are a *difference* of two model
-# quantities (provisioned timetable minus executed adaptive rounds), fully
-# deterministic per seed, but the subtraction amplifies any drift in the
-# inputs (slack derives from max_message_words, so a one-word message
-# change can swing the saved count by orders of magnitude) — and those
-# inputs are already strict-gated in the same rows. Advisory: reported,
-# never a --strict failure on its own.
-ADVISORY_MARKERS = ("rounds_saved",)
-
 # Records whose schema this script understands beyond "flat scalar rows":
 # every listed column must be present in each row, and every *other* numeric
 # column must carry a timing marker — a profile snapshot can only gain
@@ -62,24 +52,22 @@ ADVISORY_MARKERS = ("rounds_saved",)
 REQUIRED_MODEL_COLUMNS = {
     "round_profile": {"round", "messages", "words", "deferrals",
                       "carry_depth", "lanes"},
-    # E6d's fixed-vs-adaptive barrier A/B (bench_e6_messages --congest):
-    # every round count is a model quantity — "adaptive rounds" especially,
-    # since the event-driven barrier contract (CONTRACTS.md C13) pins it
-    # bit-identical across thread counts. rounds_saved_vs_slack is the
-    # advisory exception (see ADVISORY_MARKERS above).
-    "E6d — Sampler under a CONGEST word budget: fixed slack-stretched "
-    "timetable vs event-driven phase barriers (Defer, message counts and "
+    # E6d's LOCAL-vs-budgeted table (bench_e6_messages --congest): every
+    # round count is a model quantity — "budgeted rounds" especially, since
+    # the event-driven barrier contract (CONTRACTS.md C13) pins it
+    # bit-identical across thread counts.
+    "E6d — Sampler under a CONGEST word budget: LOCAL fixed timetable vs "
+    "budgeted event-driven phase barriers (Defer, message counts and "
     "spanner pinned to LOCAL)": {
-        "n", "avg deg", "budget", "max msg words", "slack", "local rounds",
-        "fixed rounds", "adaptive rounds", "stretch", "deferrals",
-        "messages", "words", "spanner == local?"},
+        "n", "avg deg", "budget", "max msg words", "local rounds",
+        "budgeted rounds", "stretch", "deferrals", "messages", "words",
+        "spanner == local?"},
 }
 
 
 def is_timing_field(name: str) -> bool:
     low = name.lower()
-    return any(marker in low
-               for marker in TIMING_MARKERS + ADVISORY_MARKERS)
+    return any(marker in low for marker in TIMING_MARKERS)
 
 
 def parse_concatenated_json(text: str):

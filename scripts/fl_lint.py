@@ -50,13 +50,13 @@ linter, so this pass checks them directly over ``src/``:
   FL010 schedule-length   code under src/ outside core/distributed_sampler.*
                           consumes Schedule::total_rounds. Under
                           event-driven phase barriers (CONTRACTS.md C13) the
-                          slack-stretched timetable length is a provisioning
-                          *model* — the run advances on the network-silence
+                          LOCAL timetable length is a provisioning *model* —
+                          a budgeted run advances on the network-silence
                           fact and may finish in far fewer (or, mid-phase,
                           more) rounds — so sizing a loop, cap, or buffer
                           from total_rounds outside the sampler driver
-                          silently re-couples callers to the retired fixed
-                          schedule.
+                          silently couples callers to a timetable that
+                          budgeted runs do not follow.
 
 Violations that are understood and accepted live in the tracked allowlist
 (``scripts/fl_lint_allowlist.txt``); everything else fails the build.
@@ -295,8 +295,8 @@ def check_obs_feedback(path: str, code: str) -> list:
 # --------------------------------------------------------------------- FL010
 
 # The sampler driver and its Schedule definition are the one legal consumer:
-# the driver derives the *fixed-mode* stall cap and the provisioned-rounds
-# baseline for barrier_rounds_saved from the timetable length.
+# the driver derives the *fixed-mode* (LOCAL) stall cap from the timetable
+# length.
 FL010_EXEMPT = re.compile(r"(?:^|/)src/core/distributed_sampler\.[a-z]+$")
 FL010_TOKEN = re.compile(r"\btotal_rounds\b")
 
@@ -473,7 +473,7 @@ CLEAN_FIXTURES = [
      "  const obs::SpanScope span(trace, obs::SpanKind::StepLane, s, round);\n"
      "}\n"),
     # FL010's carve-out: the sampler driver is the one legal consumer of
-    # the timetable length (fixed-mode stall cap, provisioned baseline).
+    # the timetable length (the fixed-mode stall cap).
     ("src/core/distributed_sampler.cpp",
      "std::size_t fixed_cap(const Schedule& s) {\n"
      "  return s.total_rounds + 4;\n"

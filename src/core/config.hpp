@@ -8,7 +8,7 @@
 //   trial_size_j = c² · n^{2^j δ + ε} · log³ n      (samples per trial)
 //   trials per level = 2h
 //
-// Two reproduction knobs deviate *transparently* from the paper:
+// Reproduction knobs that deviate *transparently* from the paper:
 //   * log_exp_budget / log_exp_trial scale the log-power. The paper's log³n
 //     is an analysis artifact: at laptop-scale n it dwarfs the polynomial
 //     part and hides the growth exponents the theorems predict. The
@@ -19,6 +19,11 @@
 //     leftover edges. Off by default — the benches *measure* the failure
 //     rate instead of hiding it; the flag exists for downstream users who
 //     need a certified spanner, and as ablation bench material.
+//   * peel_parallel_edges = false ablates Section 1.3's key idea
+//     (centralized Sampler only).
+//   * congest runs the distributed Sampler under a CONGEST budget. The
+//     budget alone picks its phase barrier: the paper's fixed timetable in
+//     plain LOCAL, event-driven barriers under an enforced budget.
 #pragma once
 
 #include <cstdint>
@@ -28,25 +33,6 @@
 #include "sim/congest.hpp"
 
 namespace fl::core {
-
-/// How the distributed sampler ends a phase (see distributed_sampler.hpp).
-enum class BarrierMode : std::uint8_t {
-  /// Resolve after the network's CONGEST config is known (including the
-  /// FL_SIM_CONGEST env probe): EventDriven under an enforced budget,
-  /// FixedSchedule in plain LOCAL mode — the mode that keeps LOCAL golden
-  /// traces and round counts byte-stable while making any budget correct.
-  Auto,
-  /// The paper's fixed timetable: every phase runs for its provisioned
-  /// PhaseSpec::start/length window (stretched by schedule_slack). Only
-  /// correct when the slack covers the workload's worst-case deferral.
-  FixedSchedule,
-  /// Event-driven phase barriers: a phase ends on the first *silent* round
-  /// — nothing delivered by the last merge and no message parked in a
-  /// carry queue (sim::Network::round_silent). The sampler pays only the
-  /// rounds the budget actually costs, at any FL_SIM_CONGEST value, with
-  /// bit-identical spanner output and message counts.
-  EventDriven,
-};
 
 struct SamplerConfig {
   unsigned k = 2;  ///< hierarchy depth; 1 <= k <= log log n
@@ -61,26 +47,11 @@ struct SamplerConfig {
 
   /// CONGEST bandwidth budget for the distributed run's network (see
   /// sim/congest.hpp). nullopt = the network's own default (FL_SIM_CONGEST
-  /// probe, else unlimited). The paper's timetable assumes LOCAL delivery;
-  /// under a finite Defer budget the default BarrierMode::Auto switches to
-  /// event-driven barriers so every session completes regardless of how far
-  /// the budget stretches it.
+  /// probe, else unlimited). It also picks the phase barrier: plain LOCAL
+  /// runs the paper's fixed timetable; an enforced budget runs event-driven
+  /// barriers, so every session completes however far the budget
+  /// stretches it (see distributed_sampler.hpp).
   std::optional<sim::CongestConfig> congest;
-
-  /// Phase-barrier mode (default Auto: event-driven iff the network ends
-  /// up with an enforced CONGEST budget, fixed timetable otherwise).
-  BarrierMode barriers = BarrierMode::Auto;
-
-  /// Compatibility shim (>= 1; 1 = the paper's exact timetable): multiplies
-  /// every phase window of the *fixed* Schedule. Before event-driven
-  /// barriers this was how a finite Defer budget was survived — stretch
-  /// every window by the worst-case ceil(words / budget) deferral. It is no
-  /// longer load-bearing: under BarrierMode::Auto/EventDriven a budgeted
-  /// run ignores the provisioned windows entirely (the value still feeds
-  /// the provisioned-rounds baseline behind
-  /// sim::Metrics::barrier_rounds_saved). Only meaningful with
-  /// BarrierMode::FixedSchedule.
-  unsigned schedule_slack = 1;
 
   std::uint64_t seed = 1;
 

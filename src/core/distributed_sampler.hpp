@@ -27,7 +27,9 @@
 //     response and peeled the same way — the whp-failure fallback.
 //
 // Round complexity: the schedule length, O(3^k · h) by construction
-// (Theorem 11). Message complexity: metered by the simulator —
+// (Theorem 11). Under an enforced CONGEST budget the phases run back to
+// back on event-driven barriers instead, paying only the rounds the
+// budget actually costs. Message complexity: metered by the simulator —
 // Õ(n^{1+δ+ε}) whp (Theorem 11), *independent of |E|*.
 #pragma once
 
@@ -75,16 +77,13 @@ struct PhaseSpec {
 
 /// The full timetable for a (k, h) configuration. Identical at every node.
 ///
-/// Under BarrierMode::FixedSchedule the start/length windows are the
-/// execution plan. Under event-driven barriers only the phase *sequence*
-/// matters — a phase ends on the first silent round (Context::
-/// network_silent) instead of at start + length — and the windows survive
-/// purely as the provisioned-rounds baseline for
-/// sim::Metrics::barrier_rounds_saved.
+/// In plain LOCAL the start/length windows are the execution plan. Under an
+/// enforced CONGEST budget only the phase *sequence* matters: a phase ends
+/// on the first silent round (Context::network_silent) instead of at
+/// start + length, since deferred traffic would overrun the windows.
 struct Schedule {
   std::vector<PhaseSpec> phases;
-  std::size_t total_rounds = 0;  ///< slack-stretched timetable length
-  std::size_t base_rounds = 0;   ///< unstretched (schedule_slack = 1) length
+  std::size_t total_rounds = 0;  ///< timetable length in LOCAL rounds
 
   static Schedule build(const SamplerConfig& cfg);
 };

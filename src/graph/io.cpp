@@ -1,6 +1,8 @@
 #include "graph/io.hpp"
 
+#include <cstdio>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -12,8 +14,8 @@ namespace fl::graph {
 
 namespace {
 
-/// One parsed non-comment line of an edge list. For 'n', `a` is the node
-/// count; for 'e', `a` and `b` are the endpoints.
+/// One parsed non-blank, non-comment line of an edge list. For 'n', `a` is
+/// the node count; for 'e', `a` and `b` are the endpoints.
 struct EdgeListLine {
   char tag = 0;
   NodeId a = 0;
@@ -34,12 +36,27 @@ bool at_line_end(std::istream& ls) {
   return ls.eof();
 }
 
+/// The tag as it reads in a diagnostic: quoted if printable, else as hex.
+std::string tag_name(char tag) {
+  const auto byte = static_cast<unsigned char>(tag);
+  char buf[8];
+  if (byte >= 0x21 && byte < 0x7f) {
+    std::snprintf(buf, sizeof(buf), "'%c'", tag);
+  } else {
+    std::snprintf(buf, sizeof(buf), "0x%02x", byte);
+  }
+  return buf;
+}
+
 /// The line grammar shared by both readers: every field present and
-/// unsigned, nothing after the last one.
-EdgeListLine parse_line(const std::string& line) {
+/// unsigned, nothing after the last one. A comment line ('#' first) or a
+/// whitespace-only line (including a CRLF file's blank "\r") yields
+/// nullopt.
+std::optional<EdgeListLine> parse_line(const std::string& line) {
+  if (!line.empty() && line[0] == '#') return std::nullopt;
   std::istringstream ls(line);
   EdgeListLine out;
-  ls >> out.tag;
+  if (!(ls >> out.tag)) return std::nullopt;
   if (out.tag == 'n') {
     FL_REQUIRE(read_field(ls, out.a) && at_line_end(ls),
                "malformed 'n' line (want 'n <num_nodes>'): " + line);
@@ -48,7 +65,7 @@ EdgeListLine parse_line(const std::string& line) {
                    at_line_end(ls),
                "malformed 'e' line (want 'e <u> <v>'): " + line);
   } else {
-    FL_REQUIRE(false, std::string("unknown edge-list tag '") + out.tag + "'");
+    FL_REQUIRE(false, "unknown edge-list tag " + tag_name(out.tag));
   }
   return out;
 }
@@ -66,14 +83,14 @@ Graph read_edge_list(std::istream& is) {
   bool have_n = false;
   std::vector<Endpoints> edges;
   while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const EdgeListLine l = parse_line(line);
-    if (l.tag == 'n') {
+    const std::optional<EdgeListLine> l = parse_line(line);
+    if (!l) continue;
+    if (l->tag == 'n') {
       FL_REQUIRE(!have_n, "duplicate 'n' line in edge list");
-      n = l.a;
+      n = l->a;
       have_n = true;
     } else {
-      edges.push_back(Endpoints{l.a, l.b});
+      edges.push_back(Endpoints{l->a, l->b});
     }
   }
   FL_REQUIRE(have_n, "edge list missing 'n' line");
@@ -97,18 +114,18 @@ Graph read_edge_list_streamed(std::istream& is,
     chunk.clear();  // capacity retained; the reader re-fills in place
   };
   while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const EdgeListLine l = parse_line(line);
-    if (l.tag == 'n') {
+    const std::optional<EdgeListLine> l = parse_line(line);
+    if (!l) continue;
+    if (l->tag == 'n') {
       FL_REQUIRE(!have_n, "duplicate 'n' line in edge list");
       have_n = true;
-      builder = Graph::StreamBuilder(l.a);
+      builder = Graph::StreamBuilder(l->a);
       if (opt.reserve_edges > 0) builder.reserve_edges(opt.reserve_edges);
     } else {
       FL_REQUIRE(have_n,
                  "streamed edge list needs the 'n' line before the first "
                  "'e' line");
-      chunk.push_back(Endpoints{l.a, l.b});
+      chunk.push_back(Endpoints{l->a, l->b});
       if (chunk.size() >= opt.chunk_edges) flush();
     }
   }

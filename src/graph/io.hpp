@@ -13,8 +13,9 @@ namespace fl::graph {
 /// Format:
 ///   n <num_nodes>
 ///   e <u> <v>      (one line per edge; edge ids assigned in file order)
-/// Lines starting with '#' are comments. Fields are unsigned decimal; a
-/// sign or any trailing token on a line is a contract violation.
+/// Lines starting with '#' are comments; whitespace-only lines are skipped.
+/// Fields are unsigned decimal; a sign or any trailing token on a line is a
+/// contract violation.
 void write_edge_list(std::ostream& os, const Graph& g);
 Graph read_edge_list(std::istream& is);
 

@@ -86,8 +86,8 @@ class Context {
   /// queue — i.e. all traffic sent so far has drained. A merge-barrier
   /// output, identical for every node in the round and bit-identical at
   /// any thread count or CONGEST budget; stable for the whole step phase.
-  /// Phase-scheduled protocols advance their logical phase on silence
-  /// instead of counting provisioned rounds.
+  /// The distributed Sampler advances its phase on silence under an
+  /// enforced CONGEST budget instead of counting its timetable's rounds.
   bool network_silent() const;
 
  private:

@@ -1,4 +1,5 @@
-// Event-driven phase barriers (BarrierMode::EventDriven).
+// Event-driven phase barriers: the distributed Sampler's phase barrier
+// under an enforced CONGEST budget.
 //
 // The barrier is the merge-barrier silence predicate
 // (Network::round_silent, surfaced as Context::network_silent): a phase
@@ -7,8 +8,9 @@
 // that makes it usable (docs/CONTRACTS.md C13):
 //   * bit-identical delivery at every FL_SIM_THREADS, for binding and
 //     never-binding budgets, across graph families;
-//   * spanner output and message counts identical to the fixed timetable
-//     (the barrier changes *when* phases start, never what they do);
+//   * spanner output and message counts identical to the LOCAL fixed
+//     timetable (the barrier changes *when* phases start, never what they
+//     do);
 //   * the predicate survives stop/resume mid-phase with live carry queues;
 //   * observational tooling (FL_SIM_CHECK, FL_SIM_TRACE / contract C12)
 //     stays neutral with the barrier active.
@@ -28,7 +30,6 @@
 namespace fl {
 namespace {
 
-using core::BarrierMode;
 using core::SamplerConfig;
 using graph::EdgeId;
 using graph::Graph;
@@ -45,15 +46,12 @@ Graph family_graph(const std::string& family) {
 
 SamplerConfig barrier_cfg(std::uint64_t budget) {
   auto cfg = SamplerConfig::bench_profile(2, 2, 7);
-  if (budget == 0) {
-    // Budget 0 spells "plain LOCAL, pinned" (a 0-word budget would never
-    // deliver anything): the barrier still runs, every round is silent or
-    // draining exactly as in a budgeted run, with no admission pass.
-    cfg.congest = sim::CongestConfig{};
-  } else {
-    cfg.congest = sim::CongestConfig{budget, sim::CongestPolicy::Defer};
-  }
-  cfg.barriers = BarrierMode::EventDriven;
+  // Budget 0 spells "plain LOCAL, pinned" (a 0-word budget would never
+  // deliver anything), which runs the fixed timetable; any enforced budget
+  // runs event-driven barriers.
+  cfg.congest = budget == 0
+                    ? sim::CongestConfig{}
+                    : sim::CongestConfig{budget, sim::CongestPolicy::Defer};
   return cfg;
 }
 
@@ -85,9 +83,6 @@ TEST(Barrier, BitIdenticalAcrossThreadsBudgetsAndFamilies) {
             << at;
         EXPECT_EQ(run.metrics.deferrals_total, base.metrics.deferrals_total)
             << at;
-        EXPECT_EQ(run.metrics.barrier_rounds_saved,
-                  base.metrics.barrier_rounds_saved)
-            << at;
       }
     }
   }
@@ -96,19 +91,18 @@ TEST(Barrier, BitIdenticalAcrossThreadsBudgetsAndFamilies) {
 TEST(Barrier, AdaptiveMatchesFixedTimetableOutputs) {
   // The barrier only re-times phase starts; every send is drawn from the
   // same phase-indexed RNG streams, so spanner edges, message counts and
-  // the role breakdown must be bit-identical to the fixed timetable — in
-  // plain LOCAL mode and at a never-binding budget (where the fixed
-  // timetable is also correct). Only rounds may differ.
+  // the role breakdown must be bit-identical to the LOCAL run's fixed
+  // timetable — at a binding and at a never-binding budget. Only rounds may
+  // differ.
   util::Xoshiro256 rng(31);
   const Graph g = graph::erdos_renyi_gnm(96, 700, rng);
 
-  auto fixed_local = SamplerConfig::bench_profile(2, 2, 11);
-  fixed_local.congest = sim::CongestConfig{};
-  fixed_local.barriers = BarrierMode::FixedSchedule;
+  auto fixed_local = barrier_cfg(0);
+  fixed_local.seed = 11;
   const auto want = core::run_distributed_sampler(g, fixed_local);
 
-  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{8},
-                                     std::uint64_t{1000000000}}) {
+  for (const std::uint64_t budget :
+       {std::uint64_t{8}, std::uint64_t{1000000000}}) {
     auto cfg = barrier_cfg(budget);
     cfg.seed = 11;
     const auto run = core::run_distributed_sampler(g, cfg);
@@ -244,33 +238,25 @@ TEST(Barrier, TracingNeutralWithBarrierActive) {
   EXPECT_EQ(traced.stats.messages, plain.stats.messages);
   EXPECT_EQ(traced.metrics.messages_per_round,
             plain.metrics.messages_per_round);
-  EXPECT_EQ(traced.metrics.barrier_rounds_saved,
-            plain.metrics.barrier_rounds_saved);
 }
 
-TEST(Barrier, AdaptiveBeatsSlackStretchedTimetable) {
+TEST(Barrier, BudgetedRunFinishesBelowLocalTimetable) {
   // The headline: under a binding budget the event-driven run takes
-  // strictly fewer rounds than the fixed timetable stretched by the slack
-  // the old E6d table derived (ceil(2 * max_words / budget) + 1).
+  // strictly fewer rounds than the LOCAL run's fixed timetable — which no
+  // timetable-bound run can do, deferrals or not — with the same spanner.
   util::Xoshiro256 rng(43);
   const Graph g = graph::erdos_renyi_gnm(64, 256, rng);
 
-  auto adaptive = barrier_cfg(8);
-  const auto fast = core::run_distributed_sampler(g, adaptive);
-  ASSERT_TRUE(fast.stats.terminated);
-  EXPECT_GT(fast.metrics.barrier_rounds_saved, 0u);
+  const auto local = core::run_distributed_sampler(g, barrier_cfg(0));
+  ASSERT_TRUE(local.stats.terminated);
+  const auto budgeted = core::run_distributed_sampler(g, barrier_cfg(8));
+  ASSERT_TRUE(budgeted.stats.terminated);
+  ASSERT_GT(budgeted.metrics.deferrals_total, 0u)
+      << "the budget under test must actually bind";
 
-  auto fixed = SamplerConfig::bench_profile(2, 2, 7);
-  fixed.congest = sim::CongestConfig{8, sim::CongestPolicy::Defer};
-  fixed.barriers = BarrierMode::FixedSchedule;
-  fixed.schedule_slack = static_cast<unsigned>(
-      (2 * fast.metrics.max_message_words + 7) / 8 + 1);
-  const auto slow = core::run_distributed_sampler(g, fixed);
-  ASSERT_TRUE(slow.stats.terminated);
-
-  EXPECT_LT(fast.stats.rounds, slow.stats.rounds);
-  EXPECT_EQ(fast.edges, slow.edges)
-      << "both modes must produce the same spanner";
+  EXPECT_LT(budgeted.stats.rounds, local.stats.rounds);
+  EXPECT_EQ(budgeted.edges, local.edges)
+      << "both barriers must produce the same spanner";
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "core/config.hpp"
 #include "core/distributed_sampler.hpp"
+#include "env_guard.hpp"
 #include "graph/generators.hpp"
 #include "localsim/tlocal_broadcast.hpp"
 #include "sim/exec.hpp"
@@ -27,6 +28,7 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
+using testing::EnvGuard;
 
 // ------------------------------------------------------- partition_nodes
 
@@ -439,14 +441,8 @@ TEST(ParallelProtocols, SpannerEdgesInvariantUnderThreads) {
     // run_distributed_sampler builds its Network internally; the engine
     // picks up FL_SIM_THREADS at construction, so thread the knob through
     // the environment exactly as a user would.
-    if (threads == 1) {
-      unsetenv("FL_SIM_THREADS");
-    } else {
-      setenv("FL_SIM_THREADS", std::to_string(threads).c_str(), 1);
-    }
-    auto run = core::run_distributed_sampler(g, cfg);
-    unsetenv("FL_SIM_THREADS");
-    return run;
+    const EnvGuard env("FL_SIM_THREADS", std::to_string(threads));
+    return core::run_distributed_sampler(g, cfg);
   };
 
   const auto seq = run_with_threads(1);
@@ -467,14 +463,8 @@ TEST(ParallelProtocols, BroadcastResultsInvariantUnderThreads) {
   const auto edges = localsim::all_edges(g);
 
   auto run_with_threads = [&](unsigned threads) {
-    if (threads == 1) {
-      unsetenv("FL_SIM_THREADS");
-    } else {
-      setenv("FL_SIM_THREADS", std::to_string(threads).c_str(), 1);
-    }
-    auto run = localsim::run_tlocal_broadcast(g, edges, 3, 9);
-    unsetenv("FL_SIM_THREADS");
-    return run;
+    const EnvGuard env("FL_SIM_THREADS", std::to_string(threads));
+    return localsim::run_tlocal_broadcast(g, edges, 3, 9);
   };
 
   const auto seq = run_with_threads(1);

@@ -2,11 +2,18 @@
 // unique edge IDs, I/O round-trips and contract enforcement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace fl::graph {
 namespace {
@@ -156,6 +163,8 @@ TEST(GraphIo, ReadersAgreeOnValidInput) {
       "n 3\ne 0 1\ne 1 2\ne 0 2\n",
       "# header\nn 4\n# mid\ne 3 0\ne 1 2\n",
       "n 4\ne 0 1   \ne\t2 3\r\n",
+      "n 3\r\ne 0 1\r\n\r\ne 1 2\r\n",
+      "n 3\n   \ne 0 1\n",
   };
   for (const char* text : cases) {
     std::istringstream in_mem(text);
@@ -167,6 +176,149 @@ TEST(GraphIo, ReadersAgreeOnValidInput) {
     for (EdgeId e = 0; e < a.num_edges(); ++e)
       EXPECT_EQ(a.edges()[e], b.edges()[e]) << text;
   }
+}
+
+TEST(GraphIo, UnknownTagDiagnosticIsPrintable) {
+  for (const auto& [text, want] :
+       {std::pair{"n 2\nx 0 1\n", "'x'"}, {"n 2\n\x01 0 1\n", "0x01"}}) {
+    std::istringstream in(text);
+    try {
+      (void)read_edge_list(in);
+      ADD_FAILURE() << "accepted an unknown tag: " << want;
+    } catch (const util::ContractViolation& ex) {
+      EXPECT_NE(std::string(ex.what()).find(want), std::string::npos)
+          << ex.what();
+    }
+  }
+}
+
+/// The graph `read` builds from `text`, or nullopt if it rejects the input
+/// with a ContractViolation. Any other exception fails the test.
+template <class Read>
+std::optional<Graph> read_or_reject(const std::string& text, Read read) {
+  std::istringstream in(text);
+  try {
+    return read(in);
+  } catch (const util::ContractViolation&) {
+    return std::nullopt;
+  } catch (const std::exception& ex) {
+    ADD_FAILURE() << "non-contract exception '" << ex.what()
+                  << "' on input:\n" << text;
+    return std::nullopt;
+  }
+}
+
+/// A valid edge list: the 'n' line first, then a random simple graph on
+/// at most 40 nodes, with a comment or blank line now and then.
+std::vector<std::string> random_edge_list(util::Xoshiro256& rng) {
+  const auto n = static_cast<NodeId>(2 + rng.below(39));
+  std::vector<std::string> lines{"n " + std::to_string(n)};
+  const std::size_t want = rng.below(2 * n);
+  std::vector<std::pair<NodeId, NodeId>> seen;
+  for (std::size_t i = 0; i < want; ++i) {
+    const auto u = static_cast<NodeId>(rng.below(n));
+    const auto v = static_cast<NodeId>(rng.below(n));
+    if (u == v) continue;
+    const auto key = std::pair{std::min(u, v), std::max(u, v)};
+    if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
+    seen.push_back(key);
+    lines.push_back("e " + std::to_string(u) + " " + std::to_string(v));
+    if (rng.below(8) == 0)
+      lines.push_back(rng.below(2) != 0 ? "# note" : "  ");
+  }
+  return lines;
+}
+
+/// Applies one random corruption to `lines` (which stays non-empty).
+void mutate(std::vector<std::string>& lines, util::Xoshiro256& rng) {
+  const std::size_t i = rng.index(lines.size());
+  std::string& line = lines[i];
+  switch (rng.below(8)) {
+    case 0:  // drop a line
+      if (lines.size() > 1) lines.erase(lines.begin() + i);
+      break;
+    case 1:  // duplicate a line
+      lines.insert(lines.begin() + i, line);
+      break;
+    case 2:  // swap two lines
+      std::swap(line, lines[rng.index(lines.size())]);
+      break;
+    case 3:  // insert '-'
+      line.insert(rng.index(line.size() + 1), 1, '-');
+      break;
+    case 4:  // append a token
+      line += rng.below(2) != 0 ? " 7" : " x";
+      break;
+    case 5:  // turn a digit into a letter
+      for (char& c : line) {
+        if (c >= '0' && c <= '9') {
+          c = static_cast<char>('a' + (c - '0'));
+          break;
+        }
+      }
+      break;
+    case 6: {  // write a value >= 2^32 over the last field
+      const std::size_t cut = line.find_last_of(' ');
+      if (cut != std::string::npos)
+        line = line.substr(0, cut + 1) +
+               std::to_string((std::uint64_t{1} << 32) + rng.below(1000));
+      break;
+    }
+    default:  // truncate a line
+      line.resize(rng.index(line.size() + 1));
+      break;
+  }
+}
+
+/// True iff an 'n' line follows the first 'e' line — an order only the
+/// in-memory reader accepts (the streamed one documents the requirement).
+bool n_after_first_e(const std::vector<std::string>& lines) {
+  bool seen_e = false;
+  for (const std::string& line : lines) {
+    const std::size_t at = line.find_first_not_of(" \t\r");
+    if (at == std::string::npos || line[0] == '#') continue;
+    if (line[at] == 'e') seen_e = true;
+    if (line[at] == 'n' && seen_e) return true;
+  }
+  return false;
+}
+
+TEST(GraphIo, FuzzedReadersAgreeOrBothReject) {
+  // Mutated valid edge lists: both readers must build identical graphs or
+  // both reject with a ContractViolation — never another exception type.
+  util::Xoshiro256 rng(0x5eed10);
+  std::size_t cases = 0;
+  std::size_t rejected = 0;
+  while (cases < 2000) {
+    std::vector<std::string> lines = random_edge_list(rng);
+    const std::size_t mutations = rng.below(3);
+    for (std::size_t m = 0; m < mutations; ++m) mutate(lines, rng);
+    if (n_after_first_e(lines)) continue;
+    ++cases;
+    std::string text;
+    for (const std::string& line : lines)
+      text += line + (rng.below(4) != 0 ? "\n" : "\r\n");
+    const auto a = read_or_reject(text, [](std::istream& in) {
+      return read_edge_list(in);
+    });
+    // A tiny chunk exercises the streamed reader's mid-input flushes.
+    const auto b = read_or_reject(text, [](std::istream& in) {
+      return read_edge_list_streamed(in, EdgeListStreamOptions{2, 0});
+    });
+    ASSERT_EQ(a.has_value(), b.has_value())
+        << "readers disagree on:\n" << text;
+    if (!a) {
+      ++rejected;
+      continue;
+    }
+    EXPECT_EQ(a->num_nodes(), b->num_nodes()) << text;
+    ASSERT_EQ(a->num_edges(), b->num_edges()) << text;
+    for (EdgeId e = 0; e < a->num_edges(); ++e)
+      ASSERT_EQ(a->edges()[e], b->edges()[e]) << text;
+  }
+  // Both outcomes must actually occur, or the fuzz tests nothing.
+  EXPECT_GT(rejected, cases / 10);
+  EXPECT_LT(rejected, cases - cases / 10);
 }
 
 TEST(GraphIo, DotHighlightsSpannerEdges) {

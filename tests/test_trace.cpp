@@ -15,6 +15,7 @@
 #include <tuple>
 #include <vector>
 
+#include "env_guard.hpp"
 #include "graph/generators.hpp"
 #include "localsim/tlocal_broadcast.hpp"
 #include "obs/trace.hpp"
@@ -36,6 +37,7 @@ using sim::Metrics;
 using sim::Network;
 using sim::NodeProgram;
 using sim::RunStats;
+using testing::EnvGuard;
 
 /// Collect-only tracing: spans and profiles stay queryable in memory,
 /// finalize() writes nothing (empty path).
@@ -303,12 +305,8 @@ TEST(LogHistogram, QuantileBoundsAreBucketResolution) {
 
 // ------------------------------------------------------------ env probe
 
-struct TraceEnvGuard {
-  ~TraceEnvGuard() { unsetenv("FL_SIM_TRACE"); }
-};
-
 TEST(TraceConfigProbe, ParsesPathAndLevel) {
-  TraceEnvGuard guard;
+  const EnvGuard guard("FL_SIM_TRACE", "");
   unsetenv("FL_SIM_TRACE");
   EXPECT_FALSE(default_trace_config().enabled);
 
@@ -392,15 +390,13 @@ TEST(TraceExport, CollectOnlyWritesNothingAndFinalizeIsIdempotent) {
 /// A protocol driver opened through the public entry point shows up as a
 /// named span on the engine track of the written trace.
 TEST(TraceExport, ProtocolSpanLandsInArtifact) {
-  TraceEnvGuard guard;
   const std::string path = ::testing::TempDir() + "fl_trace_protocol.json";
-  setenv("FL_SIM_TRACE", path.c_str(), 1);
   {
+    const EnvGuard guard("FL_SIM_TRACE", path);
     util::Xoshiro256 rng(7);
     const Graph g = graph::erdos_renyi_gnm(24, 60, rng);
     (void)localsim::run_tlocal_broadcast(g, localsim::all_edges(g), 3, 11);
   }  // the driver's Network died here and finalized the artifact
-  unsetenv("FL_SIM_TRACE");
 
   std::ifstream chrome(path);
   ASSERT_TRUE(chrome.good());
