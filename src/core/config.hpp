@@ -19,8 +19,6 @@
 //     leftover edges. Off by default — the benches *measure* the failure
 //     rate instead of hiding it; the flag exists for downstream users who
 //     need a certified spanner, and as ablation bench material.
-//   * peel_parallel_edges = false ablates Section 1.3's key idea
-//     (centralized Sampler only).
 //   * congest runs the distributed Sampler under a CONGEST budget. The
 //     budget alone picks its phase barrier: the paper's fixed timetable in
 //     plain LOCAL, event-driven barriers under an enforced budget.
