@@ -36,6 +36,31 @@ std::vector<std::uint32_t> bfs_core(NodeId n, NodeId source,
   return dist;
 }
 
+/// Component labelling parameterized on an incidence accessor.
+template <typename IncidentFn>
+Components label_components(NodeId n, IncidentFn&& incident) {
+  Components out;
+  out.label.assign(n, kInvalidNode);
+  std::vector<NodeId> stack;
+  for (NodeId s = 0; s < n; ++s) {
+    if (out.label[s] != kInvalidNode) continue;
+    const auto c = static_cast<NodeId>(out.count++);
+    out.label[s] = c;
+    stack.push_back(s);
+    while (!stack.empty()) {
+      const NodeId v = stack.back();
+      stack.pop_back();
+      for (const Incidence& inc : incident(v)) {
+        if (out.label[inc.to] == kInvalidNode) {
+          out.label[inc.to] = c;
+          stack.push_back(inc.to);
+        }
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId source) {
@@ -86,42 +111,16 @@ std::vector<std::uint32_t> SubgraphView::bfs_distances_bounded(
 }
 
 bool SubgraphView::preserves_connectivity() const {
-  const Components base = connected_components(*g_);
-  // For each base component, all members must be mutually reachable in H.
-  // BFS in H from one representative per base component suffices.
-  std::vector<bool> seen_comp(base.count, false);
-  for (NodeId v = 0; v < num_nodes(); ++v) {
-    const NodeId c = base.label[v];
-    if (seen_comp[c]) continue;
-    seen_comp[c] = true;
-    const auto dist = bfs_distances(v);
-    for (NodeId u = 0; u < num_nodes(); ++u)
-      if (base.label[u] == c && dist[u] == kUnreachable) return false;
-  }
-  return true;
+  // H ⊆ G on the same nodes, so every H-component lies inside one
+  // G-component: the counts agree exactly when no G-component splits.
+  const auto in_h = label_components(num_nodes(),
+                                     [&](NodeId v) { return incident(v); });
+  return in_h.count == connected_components(*g_).count;
 }
 
 Components connected_components(const Graph& g) {
-  Components out;
-  out.label.assign(g.num_nodes(), kInvalidNode);
-  std::vector<NodeId> stack;
-  for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    if (out.label[s] != kInvalidNode) continue;
-    const auto c = static_cast<NodeId>(out.count++);
-    out.label[s] = c;
-    stack.push_back(s);
-    while (!stack.empty()) {
-      const NodeId v = stack.back();
-      stack.pop_back();
-      for (const Incidence& inc : g.incident(v)) {
-        if (out.label[inc.to] == kInvalidNode) {
-          out.label[inc.to] = c;
-          stack.push_back(inc.to);
-        }
-      }
-    }
-  }
-  return out;
+  return label_components(g.num_nodes(),
+                          [&](NodeId v) { return g.incident(v); });
 }
 
 bool is_connected(const Graph& g) {

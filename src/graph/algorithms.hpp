@@ -43,8 +43,8 @@ class SubgraphView {
   std::vector<std::uint32_t> bfs_distances_bounded(NodeId source,
                                                    std::uint32_t max_depth) const;
 
-  /// True iff the subgraph spans the base graph's single component set, i.e.
-  /// every pair connected in G is connected in H.
+  /// True iff every pair connected in G is connected in H. One component
+  /// labelling of H and one of G: O(n + |S| + m).
   bool preserves_connectivity() const;
 
  private:

@@ -4,8 +4,13 @@
 // A subgraph H = (V, S) of connected G is an α-spanner iff for every edge
 // (u, v) of G, dist_H(u, v) <= α (the footnote-1 equivalent definition);
 // exact verification therefore needs dist_H for every G-edge. We provide an
-// exact checker (all-sources BFS on H, O(n·|S|)) for test-sized graphs and a
-// sampled checker for bench-sized ones.
+// exact checker for test-sized graphs and a sampled checker for bench-sized
+// ones. Both run one BFS on H per source that stops once its targets are
+// settled, on buffers allocated once per check. The exact checker's BFS from
+// u ends when u's higher-id G-neighbours are settled — a radius-<=α ball when
+// H is an α-spanner; only an unreachable neighbour costs the whole component
+// (O(n + |S|) per source in the worst case). The sampled checker's BFS also
+// stops at its depth cap. Both modes verify connectivity in O(n + m).
 #pragma once
 
 #include <cstdint>
@@ -18,7 +23,7 @@
 namespace fl::graph {
 
 struct StretchReport {
-  bool connected = false;         ///< H preserves G's connectivity
+  bool connected = false;         ///< H preserves G's connectivity (both modes)
   double max_edge_stretch = 0.0;  ///< max over checked G-edges of dist_H(u,v)
   double mean_edge_stretch = 0.0;
   std::size_t edges_checked = 0;

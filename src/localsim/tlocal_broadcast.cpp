@@ -44,21 +44,23 @@ class FloodNode final : public sim::NodeProgram {
       : self_(self), edge_in_(std::move(edge_in)), rounds_(rounds), n_(n),
         dedup_reforward_(dedup_reforward) {}
 
+  /// The origins this node has heard of, ascending: read off `best_hops_`,
+  /// whose known entries are exactly those >= 0.
   std::vector<NodeId> known_sorted() const {
-    std::vector<NodeId> out(known_.begin(), known_.end());
-    std::sort(out.begin(), out.end());
+    std::vector<NodeId> out;
+    for (NodeId u = 0; u < best_hops_.size(); ++u)
+      if (best_hops_[u] >= 0) out.push_back(u);
     return out;
   }
 
   void on_start(sim::Context& ctx) override {
-    known_.push_back(self_);
     best_hops_.assign(n_, -1);
     best_hops_[self_] = static_cast<std::int32_t>(rounds_);
     if (rounds_ == 0) {
       finished_ = true;
       return;
     }
-    auto batch = std::make_shared<const std::vector<NodeId>>(known_);
+    auto batch = std::make_shared<const std::vector<NodeId>>(1, self_);
     send_over_subset(ctx, batch, rounds_ - 1);
   }
 
@@ -96,7 +98,6 @@ class FloodNode final : public sim::NodeProgram {
       for (const NodeId id : *o.origins) {
         if (hops <= best_hops_[id]) continue;
         const bool improvement = best_hops_[id] >= 0;
-        if (!improvement) known_.push_back(id);
         best_hops_[id] = hops;
         if (hops >= 1)
           bucket(static_cast<std::uint32_t>(hops - 1),
@@ -151,9 +152,9 @@ class FloodNode final : public sim::NodeProgram {
   bool dedup_reforward_;
   unsigned send_round_ = 0;
   bool finished_ = false;
-  std::vector<NodeId> known_;
   // best_hops_[u] = largest remaining hop budget this node has seen for
   // origin u (-1 = never heard). In LOCAL mode it only ever improves once.
+  // It is also the node's reached set: known_sorted() scans it.
   std::vector<std::int32_t> best_hops_;
 };
 
