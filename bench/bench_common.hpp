@@ -23,13 +23,18 @@ struct Env {
   bool json = false;
   std::uint64_t seed = 1;
 
-  static Env parse(int argc, const char* const* argv) {
-    util::Options opt(argc, argv);
+  /// Read the common flags. `extra` names the bench's own flags; any other
+  /// option on the command line is an error, so a typo never silently runs
+  /// a different sweep.
+  static Env parse(const util::Options& opt,
+                   std::vector<std::string> extra = {}) {
+    extra.insert(extra.end(), {"quick", "csv", "json", "seed"});
+    opt.require_known(extra);
     Env env;
     env.quick = opt.get_bool("quick", false);
     env.csv = opt.get_bool("csv", false);
     env.json = opt.get_bool("json", false);
-    env.seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
+    env.seed = opt.get_uint("seed", 1);
     return env;
   }
 

@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace fl;
-  const auto env = bench::Env::parse(argc, argv);
+  const auto env = bench::Env::parse(util::Options(argc, argv));
   const graph::NodeId n = env.quick ? 1024 : 4096;
 
   util::Table table({"family", "k", "level", "n_j predicted", "n_j measured",

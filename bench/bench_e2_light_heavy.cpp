@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace fl;
-  const auto env = bench::Env::parse(argc, argv);
+  const auto env = bench::Env::parse(util::Options(argc, argv));
   const graph::NodeId n = env.quick ? 512 : 2048;
   const unsigned seeds = env.quick ? 3 : 10;
 

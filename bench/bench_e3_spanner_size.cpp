@@ -18,7 +18,7 @@
 
 int main(int argc, char** argv) {
   using namespace fl;
-  const auto env = bench::Env::parse(argc, argv);
+  const auto env = bench::Env::parse(util::Options(argc, argv));
 
   // (a) n sweep on K_n.
   std::vector<graph::NodeId> sizes{181, 256, 362, 512, 724, 1024, 1448};

@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace fl;
-  const auto env = bench::Env::parse(argc, argv);
+  const auto env = bench::Env::parse(util::Options(argc, argv));
   const graph::NodeId n = env.quick ? 300 : 800;
 
   util::Table table({"family", "k", "bound 2·3^k-1", "max stretch",

@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace fl;
-  const auto env = bench::Env::parse(argc, argv);
+  const auto env = bench::Env::parse(util::Options(argc, argv));
   const graph::NodeId n = env.quick ? 256 : 512;
 
   util::Table table({"k", "h", "3^k·h", "schedule rounds", "measured rounds",

@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace fl;
-  const auto env = bench::Env::parse(argc, argv);
+  const auto env = bench::Env::parse(util::Options(argc, argv));
   const graph::NodeId n = env.quick ? 512 : 1024;
 
   util::Xoshiro256 rng(env.seed);

@@ -16,8 +16,8 @@
 
 int main(int argc, char** argv) {
   using namespace fl;
-  const auto env = bench::Env::parse(argc, argv);
   const util::Options opt(argc, argv);
+  const auto env = bench::Env::parse(opt, {"congest"});
   const bool congest_section = opt.get_bool("congest", false);
   const graph::NodeId n = env.quick ? 512 : 1024;
 

@@ -8,6 +8,7 @@
 // turns it into a figure mirroring the paper's panels (a)-(f).
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "core/config.hpp"
 #include "core/sampler.hpp"
@@ -20,8 +21,10 @@
 int main(int argc, char** argv) {
   using namespace fl;
   const util::Options opt(argc, argv);
-  const auto n = static_cast<graph::NodeId>(opt.get_int("n", 24));
-  const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 3));
+  opt.require_known({"n", "seed", "dot-dir"});
+  const auto n = static_cast<graph::NodeId>(
+      opt.get_uint("n", 24, std::numeric_limits<graph::NodeId>::max()));
+  const auto seed = opt.get_uint("seed", 3);
   const std::string dot_dir = opt.get_string("dot-dir", "");
 
   util::Xoshiro256 rng(seed);

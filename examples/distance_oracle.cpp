@@ -5,6 +5,7 @@
 //
 //   ./distance_oracle [--n 1200] [--deg 48] [--k 2] [--queries 2000]
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "core/config.hpp"
@@ -19,11 +20,14 @@
 int main(int argc, char** argv) {
   using namespace fl;
   const util::Options opt(argc, argv);
-  const auto n = static_cast<graph::NodeId>(opt.get_int("n", 1200));
-  const auto deg = static_cast<std::size_t>(opt.get_int("deg", 48));
-  const auto k = static_cast<unsigned>(opt.get_int("k", 2));
-  const auto queries = static_cast<std::size_t>(opt.get_int("queries", 2000));
-  const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
+  opt.require_known({"n", "deg", "k", "queries", "seed"});
+  const auto n = static_cast<graph::NodeId>(
+      opt.get_uint("n", 1200, std::numeric_limits<graph::NodeId>::max()));
+  const auto deg = static_cast<std::size_t>(opt.get_uint("deg", 48));
+  const auto k = static_cast<unsigned>(
+      opt.get_uint("k", 2, std::numeric_limits<unsigned>::max()));
+  const auto queries = static_cast<std::size_t>(opt.get_uint("queries", 2000));
+  const auto seed = opt.get_uint("seed", 1);
 
   util::Xoshiro256 rng(seed);
   const auto g = graph::erdos_renyi_gnm(n, deg * n / 2, rng);

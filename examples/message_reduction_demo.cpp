@@ -7,6 +7,7 @@
 // and through the transformer (Sampler spanner + αt-radius flooding),
 // checks that the outputs are bit-identical, and prints the cost ledger.
 #include <iostream>
+#include <limits>
 
 #include "core/config.hpp"
 #include "graph/generators.hpp"
@@ -19,10 +20,13 @@
 int main(int argc, char** argv) {
   using namespace fl;
   const util::Options opt(argc, argv);
-  const auto n = static_cast<graph::NodeId>(opt.get_int("n", 600));
+  opt.require_known({"n", "dense", "t", "seed"});
+  const auto n = static_cast<graph::NodeId>(
+      opt.get_uint("n", 600, std::numeric_limits<graph::NodeId>::max()));
   const bool dense = opt.get_bool("dense", true);
-  const auto t = static_cast<unsigned>(opt.get_int("t", 6));
-  const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
+  const auto t = static_cast<unsigned>(
+      opt.get_uint("t", 6, std::numeric_limits<unsigned>::max()));
+  const auto seed = opt.get_uint("seed", 1);
 
   util::Xoshiro256 rng(seed);
   const auto g = dense ? graph::complete(n)

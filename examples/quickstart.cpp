@@ -6,6 +6,7 @@
 // the LOCAL-model simulator, verifies the spanner and prints the costs —
 // the 60-second tour of the library's public API.
 #include <iostream>
+#include <limits>
 
 #include "core/config.hpp"
 #include "core/distributed_sampler.hpp"
@@ -18,11 +19,15 @@
 int main(int argc, char** argv) {
   using namespace fl;
   const util::Options opt(argc, argv);
-  const auto n = static_cast<graph::NodeId>(opt.get_int("n", 1000));
-  const auto deg = static_cast<std::size_t>(opt.get_int("deg", 16));
-  const auto k = static_cast<unsigned>(opt.get_int("k", 2));
-  const auto h = static_cast<unsigned>(opt.get_int("h", 3));
-  const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
+  opt.require_known({"n", "deg", "k", "h", "seed"});
+  const auto n = static_cast<graph::NodeId>(
+      opt.get_uint("n", 1000, std::numeric_limits<graph::NodeId>::max()));
+  const auto deg = static_cast<std::size_t>(opt.get_uint("deg", 16));
+  const auto k = static_cast<unsigned>(
+      opt.get_uint("k", 2, std::numeric_limits<unsigned>::max()));
+  const auto h = static_cast<unsigned>(
+      opt.get_uint("h", 3, std::numeric_limits<unsigned>::max()));
+  const auto seed = opt.get_uint("seed", 1);
 
   // 1. A communication graph (any connected simple graph works).
   util::Xoshiro256 rng(seed);

@@ -7,6 +7,7 @@
 // Õ(n^{1+δ}) edges, and what each choice costs in real messages when run
 // distributed.
 #include <iostream>
+#include <limits>
 
 #include "baseline/baswana_sen.hpp"
 #include "core/config.hpp"
@@ -20,9 +21,11 @@
 int main(int argc, char** argv) {
   using namespace fl;
   const util::Options opt(argc, argv);
-  const auto n = static_cast<graph::NodeId>(opt.get_int("n", 800));
-  const auto deg = static_cast<std::size_t>(opt.get_int("deg", 24));
-  const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
+  opt.require_known({"n", "deg", "seed"});
+  const auto n = static_cast<graph::NodeId>(
+      opt.get_uint("n", 800, std::numeric_limits<graph::NodeId>::max()));
+  const auto deg = static_cast<std::size_t>(opt.get_uint("deg", 24));
+  const auto seed = opt.get_uint("seed", 1);
 
   util::Xoshiro256 rng(seed);
   const auto g = graph::erdos_renyi_gnm(n, deg * n / 2, rng);

@@ -3,11 +3,9 @@
 
 The per-PR bench trajectory: scripts/check.sh regenerates BENCH_e1..e10.json
 and BENCH_micro_perf.json on every run (and BENCH_capacity.json under
-FL_BENCH_CAPACITY=1, BENCH_profile.json under FL_BENCH_PROFILE=1 — the
-traced round-profile timeline from bench_micro_perf --profile); this script
-compares each regenerated file against the version committed at HEAD
-(`git show HEAD:<file>`) and flags every numeric field that moved by more
-than --threshold (default 10%).
+FL_BENCH_CAPACITY=1); this script compares each regenerated file against the
+version committed at HEAD (`git show HEAD:<file>`) and flags every numeric
+field that moved by more than --threshold (default 10%).
 
 Most E-bench fields are *model* quantities (rounds, messages, spanner sizes)
 that are bit-deterministic given the seed, so any drift there is a real
@@ -39,19 +37,13 @@ REPO = Path(__file__).resolve().parent.parent
 # "rss" covers the capacity rows' peak_rss_mb / rss_ceiling_mb: resident-set
 # readings vary with allocator and kernel, so they advise rather than gate
 # (the boolean rss_within_ceiling verdict stays model-strict).
-# "_ns" covers the round-profile timeline (quiesce_ns, step_ns, busy_*_ns):
-# nanosecond phase durations from the tracing layer are wall-clock by
-# definition (CONTRACTS.md C12 — timing is advisory, never model).
-TIMING_MARKERS = ("per_sec", "sec", "ms/", "time", "wall", "_over_", "rss",
-                  "_ns")
+TIMING_MARKERS = ("per_sec", "sec", "ms/", "time", "wall", "_over_", "rss")
 
 # Records whose schema this script understands beyond "flat scalar rows":
 # every listed column must be present in each row, and every *other* numeric
-# column must carry a timing marker — a profile snapshot can only gain
-# model columns deliberately (extend this map), never by accident.
+# column must carry a timing marker — such a snapshot can only gain model
+# columns deliberately (extend this map), never by accident.
 REQUIRED_MODEL_COLUMNS = {
-    "round_profile": {"round", "messages", "words", "deferrals",
-                      "carry_depth", "lanes"},
     # E6d's LOCAL-vs-budgeted table (bench_e6_messages --congest): every
     # round count is a model quantity — "budgeted rounds" especially, since
     # the event-driven barrier contract (CONTRACTS.md C13) pins it

@@ -20,18 +20,16 @@ cmake -B "$BUILD_DIR" -S . ${FL_CMAKE_ARGS:-}
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 
-# Bench smoke: the delivery-throughput sweep at quick sizes plus the
-# CONGEST budget sweep (LOCAL vs budgeted rounds under a binding per-edge
-# word budget), JSON teed into the per-PR trajectory snapshot at the repo
-# root. Exits nonzero if the sequential and parallel engines ever disagree
-# on RunStats, or if a finite budget fails to stretch the schedule, so CI
-# catches semantic drift, not just crashes. The committed
-# BENCH_micro_perf.json is this same quick record, so bench_diff below has
-# a matching baseline; FL_BENCH_FULL=1 additionally refreshes the tracked
-# full-sweep record (adds the n=100k rows — a couple of minutes).
-"$BUILD_DIR"/bench/bench_micro_perf --quick --congest --json | tee BENCH_micro_perf.json
+# Bench smoke: the delivery-throughput sweep at quick sizes, JSON teed into
+# the per-PR trajectory snapshot at the repo root. Exits nonzero if the
+# sequential and parallel engines ever disagree on RunStats, so CI catches
+# semantic drift, not just crashes. The committed BENCH_micro_perf.json is
+# this same quick record, so bench_diff below has a matching baseline;
+# FL_BENCH_FULL=1 additionally refreshes the tracked full-sweep record
+# (adds the n=100k rows — a couple of minutes).
+"$BUILD_DIR"/bench/bench_micro_perf --quick --json | tee BENCH_micro_perf.json
 if [ -n "${FL_BENCH_FULL:-}" ]; then
-  "$BUILD_DIR"/bench/bench_micro_perf --delivery --congest --json | tee BENCH_micro_perf_full.json
+  "$BUILD_DIR"/bench/bench_micro_perf --json | tee BENCH_micro_perf_full.json
 fi
 # FL_BENCH_CAPACITY=1 refreshes the tracked capacity record: the n=1M
 # sparse flood with its peak-RSS ceiling (~half a minute, ~0.5 GiB). Run
@@ -39,17 +37,6 @@ fi
 # is a process high-water mark, so capacity must be its own process run.
 if [ -n "${FL_BENCH_CAPACITY:-}" ]; then
   "$BUILD_DIR"/bench/bench_micro_perf --capacity --quick --threads=1 --json | tee BENCH_capacity.json
-fi
-# FL_BENCH_PROFILE=1 runs the traced flood: tracing ON, per-round phase
-# timeline teed into BENCH_profile.json, and the Perfetto-loadable
-# TRACE_micro_perf.json (+ .jsonl profile dump) dropped at the repo root,
-# then lint-checked for well-formedness. Exits nonzero if the trace
-# artifact is missing per-lane step spans or busy data. The timings are
-# advisory (never diffed) — the committed BENCH_profile.json is a shape
-# record, refreshed only under this gate.
-if [ -n "${FL_BENCH_PROFILE:-}" ]; then
-  "$BUILD_DIR"/bench/bench_micro_perf --profile --quick --threads=2 --json | tee BENCH_profile.json
-  python3 scripts/trace_lint.py TRACE_micro_perf.json TRACE_micro_perf.json.jsonl
 fi
 
 # Trajectory snapshots: every experiment's --quick --json record lands in a

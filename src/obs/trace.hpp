@@ -35,7 +35,7 @@
 // RoundProfile fields come in two classes, and the split is load-bearing
 // for tooling: *model* fields (round, messages, words, deferrals,
 // carry_depth) are bit-identical across thread counts and trace levels —
-// bench_diff treats them as strict; *advisory* fields (every `_ns`
+// tests/test_trace.cpp pins them; *advisory* fields (every `_ns`
 // duration, `max_over_avg_busy`, `rss_kb`) are wall-clock artifacts that
 // differ run to run — tooling must never gate on them.
 #pragma once
@@ -148,7 +148,7 @@ class SpanRing {
 /// One round of the engine, as a structured record.
 struct RoundProfile {
   // -- model fields: bit-identical across thread counts and trace levels
-  //    (pinned by tests/test_trace.cpp; bench_diff treats them strictly).
+  //    (pinned by tests/test_trace.cpp).
   std::uint64_t round = 0;
   std::uint64_t messages = 0;     ///< delivered this round
   std::uint64_t words = 0;        ///< words sent this round

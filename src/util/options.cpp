@@ -1,5 +1,6 @@
 #include "util/options.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/assert.hpp"
@@ -46,6 +47,16 @@ std::int64_t Options::get_int(const std::string& name,
   return v;
 }
 
+std::uint64_t Options::get_uint(const std::string& name, std::uint64_t fallback,
+                                std::uint64_t max) const {
+  if (!has(name)) return fallback;
+  const std::int64_t v = get_int(name, 0);
+  FL_REQUIRE(v >= 0 && static_cast<std::uint64_t>(v) <= max,
+             "option --" + name + " must be in [0, " + std::to_string(max) +
+                 "], got '" + values_.at(name) + "'");
+  return static_cast<std::uint64_t>(v);
+}
+
 double Options::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
@@ -88,11 +99,13 @@ std::vector<std::int64_t> Options::get_int_list(
   return out;
 }
 
-std::vector<std::string> Options::names() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, v] : values_) out.push_back(k);
-  return out;
+void Options::require_known(const std::vector<std::string>& accepted) const {
+  std::string list;
+  for (const std::string& a : accepted) list += " --" + a;
+  for (const auto& [name, value] : values_)
+    FL_REQUIRE(
+        std::find(accepted.begin(), accepted.end(), name) != accepted.end(),
+        "unknown option --" + name + " (accepted:" + list + ")");
 }
 
 }  // namespace fl::util

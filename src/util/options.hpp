@@ -1,11 +1,13 @@
 // Tiny command-line option parser for examples and bench binaries.
 //
 // Supports `--name value`, `--name=value` and boolean `--flag`. Unknown
-// options raise an error listing what is accepted — examples are meant to be
-// explored interactively, so misuse should teach rather than crash.
+// options raise an error listing what is accepted (require_known) —
+// examples are meant to be explored interactively, so misuse should teach
+// rather than run something other than what was asked for.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -23,6 +25,12 @@ class Options {
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// Non-negative integer in [0, max], for counts, sizes and seeds that
+  /// land in an unsigned type: a negative value or one above `max` throws
+  /// fl::util::ContractViolation instead of wrapping.
+  std::uint64_t get_uint(
+      const std::string& name, std::uint64_t fallback,
+      std::uint64_t max = std::numeric_limits<std::int64_t>::max()) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 
@@ -30,8 +38,9 @@ class Options {
   std::vector<std::int64_t> get_int_list(
       const std::string& name, std::vector<std::int64_t> fallback) const;
 
-  /// Names seen on the command line (for help/error output).
-  std::vector<std::string> names() const;
+  /// Throws fl::util::ContractViolation naming the first option on the
+  /// command line that is not in `accepted`, and listing what is.
+  void require_known(const std::vector<std::string>& accepted) const;
 
   const std::string& program() const { return program_; }
 

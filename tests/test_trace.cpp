@@ -335,6 +335,7 @@ TEST(TraceConfigProbe, ParsesPathAndLevel) {
 TEST(TraceExport, ChromeTraceAndProfileJsonlWellFormed) {
   const Graph g = golden_graph();
   const std::string path = ::testing::TempDir() + "fl_trace_export.json";
+  RunStats stats;
   {
     Network net(g, Knowledge::EdgeIds, 5);
     net.set_parallelism({2});
@@ -343,7 +344,7 @@ TEST(TraceExport, ChromeTraceAndProfileJsonlWellFormed) {
     cfg.path = path;
     net.set_trace(std::move(cfg));
     net.install_all<PartitionProbe>(6u);
-    (void)net.run(50);
+    stats = net.run(50);
   }  // ~Network finalizes both artifacts
 
   std::ifstream chrome(path);
@@ -354,7 +355,13 @@ TEST(TraceExport, ChromeTraceAndProfileJsonlWellFormed) {
   EXPECT_EQ(text.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0), 0u);
   EXPECT_NE(text.find("\"ph\":\"M\""), std::string::npos);   // metadata
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);   // spans
-  EXPECT_NE(text.find("\"step:lane\""), std::string::npos);  // per-lane
+  // Per-lane step spans: at least one in every round the run took.
+  ASSERT_GT(stats.rounds, 0u);
+  std::size_t step_lane_spans = 0;
+  for (std::size_t at = text.find("\"step:lane\""); at != std::string::npos;
+       at = text.find("\"step:lane\"", at + 1))
+    ++step_lane_spans;
+  EXPECT_GE(step_lane_spans, stats.rounds);
   EXPECT_NE(text.find("\"thread_name\""), std::string::npos);
   EXPECT_EQ(text.back(), '\n');
 

@@ -212,5 +212,24 @@ TEST(Options, RejectsMalformedInput) {
   EXPECT_THROW(opt.get_int("n", 0), ContractViolation);
 }
 
+TEST(Options, RejectsUnknownFlagsAndOutOfRangeCounts) {
+  const char* argv[] = {"prog", "--quik", "--seed", "-1", "--n=5"};
+  Options opt(5, argv);
+  EXPECT_NO_THROW(opt.require_known({"n", "quik", "seed"}));
+  try {
+    opt.require_known({"n", "quick", "seed"});
+    ADD_FAILURE() << "unknown --quik was accepted";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--quik"), std::string::npos) << what;
+    EXPECT_NE(what.find("--n --quick --seed"), std::string::npos) << what;
+  }
+  // A negative value never wraps into a huge unsigned count.
+  EXPECT_THROW(opt.get_uint("seed", 1), ContractViolation);
+  EXPECT_EQ(opt.get_uint("n", 0, 5), 5u);
+  EXPECT_THROW(opt.get_uint("n", 0, 4), ContractViolation);
+  EXPECT_EQ(opt.get_uint("missing", 7), 7u);
+}
+
 }  // namespace
 }  // namespace fl::util
