@@ -138,8 +138,8 @@ std::vector<SweepRow> run_delivery_sweep(const bench::Env& env,
   //
   // Three families: dense (ER, avg degree 16), sparse (random tree), and
   // skewed (Barabási–Albert, avg degree ≈ 16 with power-law hubs) — the
-  // skewed rows exercise the degree-weighted shard balancing that uniform
-  // families cannot distinguish from ShardBalance::Uniform.
+  // skewed rows exercise the degree-weighted shard cuts, which uniform
+  // families cannot tell from equal node counts.
   const unsigned rounds = 2;
   std::vector<graph::NodeId> sizes{1000, 10000, 100000};
   if (env.quick) sizes = {1000, 10000};

@@ -2,7 +2,7 @@
 """fl_lint — determinism-contract lint for the fl source tree.
 
 The simulator's whole value proposition is bit-identical runs at every
-thread count, balance mode, and (non-binding) congest budget. The contracts
+thread count and (non-binding) congest budget. The contracts
 that guarantee it are structural, repo-specific, and invisible to a generic
 linter, so this pass checks them directly over ``src/``:
 

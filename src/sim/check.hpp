@@ -4,10 +4,9 @@
 // only police when the scheduler actually interleaves the racing accesses
 // (hopeless on a single-core box):
 //
-//   * ownership — every node's mutable state (program, RNG stream, send
-//     cursor, edge→slot cache, done-state byte, messages_per_node slot) is
-//     touched only by the lane whose shard owns the node, and only during
-//     the step phase;
+//   * ownership — every node's mutable state (program, RNG stream,
+//     done-state byte, messages_per_node slot) is touched only by the lane
+//     whose shard owns the node, and only during the step phase;
 //   * phasing — the merge-barrier structures are mutated only in their
 //     designated phase: SendLane counts/cursors and the arena in the merge
 //     phase, per-directed-edge budget tallies and the congest carry queues

@@ -26,7 +26,7 @@
 // edge delivers to exactly one node, so every per-edge budget tally and
 // carry queue is owned by exactly one shard — parallel stepping stays
 // contention-free and admission order is bit-identical for every thread
-// count and balance mode, just like delivery itself.
+// count, just like delivery itself.
 #pragma once
 
 #include <cstdint>

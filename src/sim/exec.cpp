@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 
 #include "util/assert.hpp"
 
@@ -19,34 +18,7 @@ ParallelConfig default_parallel_config() {
     FL_REQUIRE(v <= 1024, "FL_SIM_THREADS capped at 1024");
     cfg.threads = static_cast<unsigned>(v);
   }
-  const char* bal = std::getenv("FL_SIM_BALANCE");
-  if (bal != nullptr && *bal != '\0') {
-    if (std::strcmp(bal, "uniform") == 0) {
-      cfg.balance = ShardBalance::Uniform;
-    } else {
-      FL_REQUIRE(std::strcmp(bal, "degree") == 0,
-                 "FL_SIM_BALANCE must be 'degree' or 'uniform'");
-      cfg.balance = ShardBalance::Degree;
-    }
-  }
   return cfg;
-}
-
-std::vector<ShardRange> partition_nodes(graph::NodeId n, unsigned shards) {
-  FL_REQUIRE(n >= 1, "cannot partition an empty node set");
-  if (shards < 1) shards = 1;
-  const auto k = static_cast<graph::NodeId>(
-      shards < n ? shards : n);  // never more shards than nodes
-  std::vector<ShardRange> ranges(k);
-  const graph::NodeId base = n / k;
-  const graph::NodeId extra = n % k;  // first `extra` shards get one more
-  graph::NodeId begin = 0;
-  for (graph::NodeId s = 0; s < k; ++s) {
-    const graph::NodeId size = base + (s < extra ? 1 : 0);
-    ranges[s] = {begin, begin + size};
-    begin += size;
-  }
-  return ranges;
 }
 
 std::vector<ShardRange> partition_nodes(graph::NodeId n, unsigned shards,
@@ -57,8 +29,8 @@ std::vector<ShardRange> partition_nodes(graph::NodeId n, unsigned shards,
   const auto k = static_cast<graph::NodeId>(shards < n ? shards : n);
   if (k == 1) return {{0, n}};
   // prefix[i] = total weight of nodes [0, i). Total weight is bounded by
-  // n + 2m (Degree weighting), far below the overflow point of the
-  // target multiplication below.
+  // n + 2m (the engine's degree weighting), far below the overflow point of
+  // the target multiplication below.
   std::vector<std::uint64_t> prefix(static_cast<std::size_t>(n) + 1, 0);
   for (graph::NodeId v = 0; v < n; ++v) prefix[v + 1] = prefix[v] + weights[v];
   const std::uint64_t total = prefix[n];

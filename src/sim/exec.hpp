@@ -13,8 +13,8 @@
 //     barrier is offsets arithmetic over the per-lane counts plus a single
 //     relocation pass into the shared flat arena — no extra message pass
 //     (a two-pass bucketed scatter measured ~25% slower on the bench box);
-//   * per-node state (RNG stream, send cursor, program) is only ever
-//     touched by the lane whose shard owns the node.
+//   * per-node state (RNG stream, program) is only ever touched by the
+//     lane whose shard owns the node.
 //
 // Determinism contract: delivery order is bit-identical to sequential
 // execution. Sequential order is "node 0's sends, then node 1's, ...";
@@ -39,30 +39,14 @@
 
 namespace fl::sim {
 
-/// How nodes are apportioned to shards. Delivery order is bit-identical
-/// either way (shards are always contiguous ascending id ranges and the
-/// merge is stable across them) — this only moves the shard boundaries.
-enum class ShardBalance : std::uint8_t {
-  /// Equal node counts per shard.
-  Uniform,
-  /// Equal incident-degree weight per shard (weight deg(v) + 1, so
-  /// isolated nodes still count as one step). A round's per-node work is
-  /// dominated by sends and inbox length — both proportional to degree —
-  /// so skewed graphs (power-law, star, lollipop) get balanced lanes
-  /// where Uniform would hand one shard all the hubs.
-  Degree,
-};
-
 /// Execution-parallelism knob threaded through Network. threads == 1 is
 /// plain sequential stepping (no pool, no extra barriers).
 struct ParallelConfig {
   unsigned threads = 1;
-  ShardBalance balance = ShardBalance::Degree;
 };
 
 /// ParallelConfig{FL_SIM_THREADS} when the environment variable is set to a
-/// positive integer; ParallelConfig{1} otherwise. FL_SIM_BALANCE=uniform
-/// selects ShardBalance::Uniform (default: degree).
+/// positive integer; ParallelConfig{1} otherwise.
 ParallelConfig default_parallel_config();
 
 /// A contiguous node-id range [begin, end) owned by one execution lane.
@@ -74,18 +58,15 @@ struct ShardRange {
   friend bool operator==(const ShardRange&, const ShardRange&) = default;
 };
 
-/// Split [0, n) into at most `shards` contiguous, balanced, non-empty
-/// ranges covering every node in ascending order. Returns min(shards, n)
-/// ranges (never more than one shard per node; at least one range when
-/// n >= 1); sizes differ by at most one, larger shards first.
-std::vector<ShardRange> partition_nodes(graph::NodeId n, unsigned shards);
-
-/// Weighted variant (ShardBalance::Degree): cut [0, n) so every shard
-/// carries roughly total_weight / k, k = min(shards, n). `weights` holds
-/// one non-negative weight per node; cuts sit where the weight prefix sum
-/// crosses the s/k marks, clamped so every shard keeps at least one node
-/// (a single huge-weight node gets a singleton shard; trailing shards are
-/// never starved below one node each).
+/// Split [0, n) into k = min(shards, n) contiguous ranges covering every
+/// node in ascending order, each carrying roughly total_weight / k.
+/// `weights` holds one non-negative weight per node (the engine passes
+/// deg(v) + 1: a node's per-round cost is dominated by its sends and inbox,
+/// both proportional to its degree, so skewed graphs get balanced lanes).
+/// Cuts sit where the weight prefix sum crosses the s/k marks, clamped so
+/// every shard keeps at least one node (a single huge-weight node gets a
+/// singleton shard; trailing shards are never starved below one node
+/// each). A zero shard request clamps to one.
 std::vector<ShardRange> partition_nodes(graph::NodeId n, unsigned shards,
                                         std::span<const std::uint64_t> weights);
 

@@ -76,8 +76,6 @@ Network::Network(const graph::Graph& graph, Knowledge knowledge,
   log_n_bound_ = std::log2(std::max<double>(2.0, n));
 
   incident_edges_.resize(n);
-  send_cursor_.assign(n, 0);
-  slot_cache_.resize(n);
   done_state_.assign(n, 0);
   arena_offsets_.assign(n + 1, 0);
   // Lane 0 exists (fully sized) from construction so sends through a
@@ -202,90 +200,25 @@ void Network::install(
   }
 }
 
-NodeId Network::resolve_slow(NodeId from, EdgeId edge,
-                             std::span<const graph::Incidence> inc) {
-  // Private-edge-order senders (distributed_sampler sorts its incident
-  // edges by id) miss the incidence cursor on every send; resolving them
-  // through the global endpoints array is a random access across the whole
-  // graph per message. Instead, build an edge-id-sorted index of the
-  // node's own incidence slots and keep a cursor into it: an ascending-
-  // edge-id sweep then costs one sequential, node-local read per send,
-  // like the incidence fast path. The O(deg log deg) build is deferred
-  // until the node has missed a few times — a one-shot reply (the other
-  // common miss) keeps the seed's single O(1) endpoints lookup instead of
-  // paying for an index it will never reuse.
-  EdgeSlotCache& cache = slot_cache_[from];
-  if (cache.sorted.empty()) {
-    if (++cache.misses >= EdgeSlotCache::kBuildAfterMisses && !inc.empty()) {
-      cache.sorted.reserve(inc.size());
-      for (std::uint32_t s = 0; s < inc.size(); ++s)
-        cache.sorted.emplace_back(inc[s].edge, s);
-      std::sort(cache.sorted.begin(), cache.sorted.end());
-    } else {
-      FL_REQUIRE(edge < graph_->num_edges(), "send over unknown edge");
-      const auto ep = graph_->endpoints(edge);
-      FL_REQUIRE(ep.u == from || ep.v == from,
-                 "a node may only send over its incident edges");
-      return (ep.u == from) ? ep.v : ep.u;
-    }
-  }
-  if (cache.cursor < cache.sorted.size() &&
-      cache.sorted[cache.cursor].first == edge) {
-    const std::uint32_t slot = cache.sorted[cache.cursor].second;
-    cache.cursor =
-        (cache.cursor + 1 == cache.sorted.size()) ? 0 : cache.cursor + 1;
-    return inc[slot].to;
-  }
-  const auto it =
-      std::lower_bound(cache.sorted.begin(), cache.sorted.end(),
-                       std::pair<EdgeId, std::uint32_t>{edge, 0});
-  if (it != cache.sorted.end() && it->first == edge) {
-    const auto pos = static_cast<std::uint32_t>(it - cache.sorted.begin());
-    cache.cursor = (pos + 1 == cache.sorted.size()) ? 0 : pos + 1;
-    return inc[it->second].to;
-  }
-  // Not one of the sender's edges: fail with the seed's diagnostics.
-  FL_REQUIRE(edge < graph_->num_edges(), "send over unknown edge");
-  const auto ep = graph_->endpoints(edge);
-  FL_REQUIRE(ep.u == from || ep.v == from,
-             "a node may only send over its incident edges");
-  return (ep.u == from) ? ep.v : ep.u;
-}
-
 void Network::enqueue(SendLane& lane, NodeId from, EdgeId edge,
                       Payload payload, std::uint32_t size_hint_words) {
   if (check_) {
-    // The send path mutates sender-owned state (send cursor, edge→slot
-    // cache, messages_per_node) and the lane's private outbox/counts: both
-    // must belong to the stepping lane. Pre-run sends (no bound scope) are
-    // legal and unchecked by design.
+    // The send path mutates sender-owned state (messages_per_node) and the
+    // lane's private outbox/counts: both must belong to the stepping lane.
+    // Pre-run sends (no bound scope) are legal and unchecked by design.
     check_->touch_node(from, "send-path state");
     check_->touch_lane(static_cast<unsigned>(&lane - lanes_.data()),
                        EnginePhase::Step, "send outbox");
   }
-  // Resolve `to` and prove incidence. Fast path: the sender's incidence
-  // cursor — flood-style protocols send over their incident edges in
-  // incidence order, so the expected entry (or the next one, after a
-  // skipped edge such as a tree parent) matches with a sequential read of
-  // the sender's own incidence list. Anything else (reply over the inbound
-  // edge, protocol-sorted edge order, ...) goes through the per-node
-  // edge→slot cache in resolve_slow.
-  const std::span<const graph::Incidence> inc = graph_->incident(from);
-  std::uint32_t& cur = send_cursor_[from];
-  NodeId to;
-  if (cur < inc.size() && inc[cur].edge == edge) {
-    to = inc[cur].to;
-    cur = (cur + 1 == inc.size()) ? 0 : cur + 1;
-  } else if (cur + 1 < inc.size() && inc[cur + 1].edge == edge) {
-    to = inc[cur + 1].to;
-    cur = (cur + 2 == inc.size()) ? 0 : cur + 2;
-  } else {
-    to = resolve_slow(from, edge, inc);
-  }
+  // Resolve `to` from the endpoints array and prove incidence.
+  FL_REQUIRE(edge < graph_->num_edges(), "send over unknown edge");
+  const auto ep = graph_->endpoints(edge);
+  FL_REQUIRE(ep.u == from || ep.v == from,
+             "a node may only send over its incident edges");
   MessageHeader h;
   h.edge = edge;
   h.from = from;
-  h.to = to;
+  h.to = (ep.u == from) ? ep.v : ep.u;
   // A message costs at least one word no matter what the sender reports:
   // a computed-zero hint would free-ride on words_total (and, in congest
   // mode, on the per-edge budget), making an O(n)-message protocol look
@@ -311,7 +244,7 @@ void Network::begin_if_needed() {
   if (started_) return;
   started_ = true;
   const NodeId n = graph_->num_nodes();
-  if (par_.threads > 1 && par_.balance == ShardBalance::Degree) {
+  if (par_.threads > 1) {
     // Degree-weighted cuts: a node's per-round cost is dominated by its
     // sends and inbox, both proportional to its degree; + 1 so isolated
     // nodes still count as one program step.
@@ -319,7 +252,7 @@ void Network::begin_if_needed() {
     for (NodeId v = 0; v < n; ++v) weights[v] = graph_->degree(v) + 1;
     shards_ = partition_nodes(n, par_.threads, weights);
   } else {
-    shards_ = partition_nodes(n, par_.threads);
+    shards_ = {{0, n}};
   }
   lanes_.resize(shards_.size());
   chunk_weight_.assign(shards_.size(), 0);
@@ -358,9 +291,8 @@ void Network::begin_if_needed() {
 void Network::phase_step(bool starting) {
   // Phase 1 — step shards. Each lane steps its shard's nodes in ascending
   // id order against its private SendLane. Everything a step touches is
-  // either shard-owned (program, RNG stream, send cursor, edge→slot
-  // cache, messages_per_node[self], done_state_[self]) or read-only this
-  // phase (graph, arena + offsets), so lanes run concurrently without
+  // either shard-owned (program, RNG stream, messages_per_node[self],
+  // done_state_[self]) or read-only this phase (graph, arena + offsets), so lanes run concurrently without
   // locks. The done() re-read happens here, immediately after the step —
   // the only place done-state can change — keeping the quiesce phase free
   // of any per-node work.

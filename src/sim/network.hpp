@@ -105,11 +105,10 @@ class Network {
   /// slack the model allows).
   void set_log_n_bound(double bound);
 
-  /// Execution parallelism (defaults to FL_SIM_THREADS / FL_SIM_BALANCE,
-  /// else sequential + degree-balanced); only legal before the first
-  /// round. Results are bit-identical for every thread count and either
-  /// balance mode — the deterministic shard-merge contract (exec.hpp) —
-  /// so this is purely a wall-clock knob.
+  /// Execution parallelism (defaults to FL_SIM_THREADS, else sequential);
+  /// only legal before the first round. Results are bit-identical for
+  /// every thread count — the deterministic shard-merge contract
+  /// (exec.hpp) — so this is purely a wall-clock knob.
   void set_parallelism(ParallelConfig par);
   ParallelConfig parallelism() const { return par_; }
 
@@ -117,8 +116,8 @@ class Network {
   /// = plain LOCAL); only legal before the first round. With a finite
   /// budget, Defer stretches the round schedule (carry queues at the merge
   /// barrier) and Strict throws CongestViolation on the first over-budget
-  /// edge-round. Results stay bit-identical across thread counts and
-  /// balance modes for any fixed config.
+  /// edge-round. Results stay bit-identical across thread counts for any
+  /// fixed config.
   void set_congest(CongestConfig congest);
   CongestConfig congest() const { return congest_; }
 
@@ -131,7 +130,7 @@ class Network {
   /// queue — i.e. every message sent so far has been fully delivered *and*
   /// handled (any reaction it provoked would itself be in flight). Both
   /// facts are merge-barrier outputs, so the predicate is bit-identical at
-  /// every FL_SIM_THREADS / FL_SIM_BALANCE and any FL_SIM_CONGEST value,
+  /// every FL_SIM_THREADS and any FL_SIM_CONGEST value,
   /// and is stable for the whole step phase (it only mutates at the next
   /// merge). Programs read it through Context::network_silent().
   bool round_silent() const {
@@ -216,8 +215,6 @@ class Network {
 
   void enqueue(SendLane& lane, graph::NodeId from, graph::EdgeId edge,
                Payload payload, std::uint32_t size_hint_words);
-  graph::NodeId resolve_slow(graph::NodeId from, graph::EdgeId edge,
-                             std::span<const graph::Incidence> inc);
   void begin_if_needed();
   // The per-round phases, in execution order. merge_lanes and
   // congest_admit are defined in merge.cpp.
@@ -238,36 +235,11 @@ class Network {
   std::vector<util::Xoshiro256> node_rngs_;
   std::vector<std::vector<graph::EdgeId>> incident_edges_;  // per node
 
-  // Send-side cursor per node: protocols overwhelmingly send over their
-  // incident edges in incidence order (flood loops), so enqueue resolves
-  // `to` from the node's own incidence list — a sequential, cache-warm
-  // read — instead of a random lookup into the global endpoints array.
-  // Arbitrary-edge sends fall back to the edge→slot cache below, and only
-  // truly foreign edges reach the endpoints array (to fail the incidence
-  // check with the original diagnostic).
-  std::vector<std::uint32_t> send_cursor_;
-
-  // Fallback for senders with a private edge order (distributed_sampler
-  // sorts its incident edges by id): a lazily built per-node index of
-  // (edge id → incidence slot) sorted by edge id, plus a cursor so a
-  // sender sweeping its edges in ascending-id order hits sequentially
-  // after one binary search. Built only for nodes that miss the incidence
-  // cursor repeatedly (isolated misses — one-shot replies — keep the
-  // seed's direct endpoints lookup); node-local, so shard-parallel
-  // stepping never shares an entry.
-  struct EdgeSlotCache {
-    static constexpr std::uint32_t kBuildAfterMisses = 4;
-    std::vector<std::pair<graph::EdgeId, std::uint32_t>> sorted;
-    std::uint32_t cursor = 0;
-    std::uint32_t misses = 0;
-  };
-  std::vector<EdgeSlotCache> slot_cache_;
-
   // Parallel execution (exec.hpp): nodes are split into contiguous shards,
   // one SendLane per shard; lane 0 doubles as the sequential outbox. The
   // pool exists only when the effective shard count exceeds 1. Shards and
-  // lanes are finalized by begin_if_needed() from par_ (degree-weighted
-  // cuts under ShardBalance::Degree).
+  // lanes are finalized by begin_if_needed() from par_ (cuts at equal
+  // deg(v) + 1 weight).
   ParallelConfig par_;
   std::vector<ShardRange> shards_;
   std::vector<SendLane> lanes_;

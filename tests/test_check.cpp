@@ -69,7 +69,7 @@ Graph test_graph(NodeId n) {
 std::uint64_t run_digest(unsigned threads, bool check, bool budget) {
   const Graph g = test_graph(64);
   Network net(g, Knowledge::EdgeIds, /*seed=*/7);
-  net.set_parallelism({threads, ShardBalance::Uniform});
+  net.set_parallelism({threads});
   net.set_check(check);
   if (budget) net.set_congest({4, CongestPolicy::Defer});
   net.install_all<Chatter>(4u);
@@ -116,7 +116,7 @@ TEST(CheckClean, PreRunSendAndPostRunExtractionUnchecked) {
   // pre-run two-argument Context, and post-run mutating extraction.
   const Graph g = test_graph(8);
   Network net(g, Knowledge::EdgeIds, 1);
-  net.set_parallelism({8, ShardBalance::Uniform});
+  net.set_parallelism({8});
   net.set_check(true);
   net.install_all<Chatter>(1u);
   Context pre(net, /*self=*/5);
@@ -134,10 +134,10 @@ TEST(CheckClean, PreRunSendAndPostRunExtractionUnchecked) {
 TEST(CheckViolations, CrossShardRngTouchCaughtFromRunningLane) {
   const Graph g = test_graph(64);
   Network net(g, Knowledge::EdgeIds, 7);
-  net.set_parallelism({8, ShardBalance::Uniform});
+  net.set_parallelism({8});
   net.set_check(true);
   net.install_all<Chatter>(4u);
-  // Uniform split of 64 nodes over 8 lanes: node 63 is owned by lane 7.
+  // 8 lanes, each cut non-empty: node 63, the last, is owned by lane 7.
   net.set_check_probe([](Network& n, unsigned lane) {
     if (lane != 0) return;
     Context foreign(n, /*self=*/63);
@@ -158,10 +158,10 @@ TEST(CheckViolations, CrossShardRngTouchCaughtFromRunningLane) {
 
 TEST(CheckViolations, CrossShardSendCaughtFromRunningLane) {
   // Same shape through the send path: lane 0 sending *as* node 63 mutates
-  // node 63's send cursor / slot cache — caught before the message exists.
+  // node 63's messages_per_node slot — caught before the message exists.
   const Graph g = test_graph(64);
   Network net(g, Knowledge::EdgeIds, 7);
-  net.set_parallelism({8, ShardBalance::Uniform});
+  net.set_parallelism({8});
   net.set_check(true);
   net.install_all<Chatter>(4u);
   net.set_check_probe([&](Network& n, unsigned lane) {
@@ -189,7 +189,7 @@ TEST(CheckViolations, CrossShardWriteCaughtAtOneAndEightLanes) {
   for (const unsigned threads : {1u, 8u}) {
     const Graph g = test_graph(64);
     Network net(g, Knowledge::EdgeIds, 7);
-    net.set_parallelism({threads, ShardBalance::Uniform});
+    net.set_parallelism({threads});
     net.set_check(true);
     net.install_all<Chatter>(2u);
     net.step(1);
@@ -213,7 +213,7 @@ TEST(CheckViolations, OutOfPhaseCarryMutationCaughtAtOneAndEightLanes) {
   for (const unsigned threads : {1u, 8u}) {
     const Graph g = test_graph(64);
     Network net(g, Knowledge::EdgeIds, 7);
-    net.set_parallelism({threads, ShardBalance::Uniform});
+    net.set_parallelism({threads});
     net.set_check(true);
     net.set_congest({1000000000, CongestPolicy::Defer});  // chunks exist
     net.install_all<Chatter>(4u);
@@ -242,7 +242,7 @@ TEST(CheckViolations, DiagnosticNamesEveryCoordinate) {
   // must all be present (tooling greps for them).
   const Graph g = test_graph(64);
   Network net(g, Knowledge::EdgeIds, 7);
-  net.set_parallelism({8, ShardBalance::Uniform});
+  net.set_parallelism({8});
   net.set_check(true);
   net.install_all<Chatter>(2u);
   net.step(3);

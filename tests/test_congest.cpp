@@ -2,7 +2,7 @@
 // FL_SIM_CONGEST probe, budget validation, Defer's carry-queue semantics
 // (FIFO per directed edge, ceil(K/B)-round crossings, stretched-but-
 // complete schedules), Strict's diagnostics, bit-determinism of budgeted
-// runs across thread counts and balance modes, and the words-accounting
+// runs across thread counts, and the words-accounting
 // fixes the budget engine depends on (minimum one word per message,
 // pre-run sends).
 #include <gtest/gtest.h>
@@ -388,9 +388,9 @@ void expect_identical(const ChatterResult& a, const ChatterResult& b) {
 
 TEST(CongestDeterminism, DeferBitIdenticalAcrossThreadCountsOnEveryFamily) {
   // The acceptance matrix: dense, sparse and skewed families under a
-  // binding Defer budget, at 1, 2 and 8 lanes and both balance modes —
-  // RunStats, Metrics (deferrals included) and every per-node delivery
-  // log must be bit-identical, exactly like the unbudgeted engine.
+  // binding Defer budget, at 1, 2 and 8 lanes — RunStats, Metrics
+  // (deferrals included) and every per-node delivery log must be
+  // bit-identical, exactly like the unbudgeted engine.
   util::Xoshiro256 dense_rng(123), sparse_rng(124), skew_rng(125);
   const Graph dense = graph::erdos_renyi_gnm(97, 400, dense_rng);
   const Graph sparse = graph::random_tree(101, sparse_rng);
@@ -399,13 +399,8 @@ TEST(CongestDeterminism, DeferBitIdenticalAcrossThreadCountsOnEveryFamily) {
     const auto seq = run_word_chatter(*g, {1}, defer(3));
     EXPECT_GT(seq.stats.messages, 0u);
     EXPECT_GT(seq.metrics.deferrals_total, 0u);  // the budget must bind
-    for (const unsigned threads : {2u, 8u}) {
-      for (const ShardBalance balance :
-           {ShardBalance::Uniform, ShardBalance::Degree}) {
-        expect_identical(seq, run_word_chatter(*g, {threads, balance},
-                                               defer(3)));
-      }
-    }
+    for (const unsigned threads : {2u, 8u})
+      expect_identical(seq, run_word_chatter(*g, {threads}, defer(3)));
   }
 }
 

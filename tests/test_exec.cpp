@@ -1,8 +1,8 @@
-// Tests for the parallel round-execution engine (sim/exec.hpp): shard
-// partitioning (uniform and degree-weighted), the worker pool, and — the
-// load-bearing contract — bit determinism of RunStats, Metrics and
-// protocol outputs across thread counts, balance modes and graph families
-// (dense, sparse, skewed), anchored by a pinned golden trace.
+// Tests for the parallel round-execution engine (sim/exec.hpp): weighted
+// shard partitioning, the worker pool, and — the load-bearing contract —
+// bit determinism of RunStats, Metrics and protocol outputs across thread
+// counts and graph families (dense, sparse, skewed), anchored by a pinned
+// golden trace.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -32,60 +32,6 @@ using testing::EnvGuard;
 
 // ------------------------------------------------------- partition_nodes
 
-TEST(PartitionNodes, BalancedContiguousCover) {
-  const auto shards = partition_nodes(10, 3);
-  ASSERT_EQ(shards.size(), 3u);
-  EXPECT_EQ(shards[0], (ShardRange{0, 4}));  // larger shards first
-  EXPECT_EQ(shards[1], (ShardRange{4, 7}));
-  EXPECT_EQ(shards[2], (ShardRange{7, 10}));
-}
-
-TEST(PartitionNodes, EvenSplit) {
-  const auto shards = partition_nodes(8, 4);
-  ASSERT_EQ(shards.size(), 4u);
-  for (unsigned s = 0; s < 4; ++s)
-    EXPECT_EQ(shards[s], (ShardRange{2 * s, 2 * s + 2}));
-}
-
-TEST(PartitionNodes, FewerNodesThanShards) {
-  // Never more than one shard per node: n < threads collapses to n
-  // singleton shards, all non-empty.
-  const auto shards = partition_nodes(3, 8);
-  ASSERT_EQ(shards.size(), 3u);
-  for (NodeId v = 0; v < 3; ++v) EXPECT_EQ(shards[v], (ShardRange{v, v + 1}));
-}
-
-TEST(PartitionNodes, SingleNodeAndSingleShard) {
-  EXPECT_EQ(partition_nodes(1, 8), (std::vector<ShardRange>{{0, 1}}));
-  EXPECT_EQ(partition_nodes(5, 1), (std::vector<ShardRange>{{0, 5}}));
-  // A zero shard request clamps to one.
-  EXPECT_EQ(partition_nodes(5, 0), (std::vector<ShardRange>{{0, 5}}));
-}
-
-TEST(PartitionNodes, CoversEveryNodeExactlyOnce) {
-  for (const NodeId n : {1u, 2u, 7u, 64u, 1001u}) {
-    for (const unsigned t : {1u, 2u, 3u, 8u, 64u}) {
-      const auto shards = partition_nodes(n, t);
-      NodeId expect_begin = 0;
-      for (const auto& s : shards) {
-        EXPECT_EQ(s.begin, expect_begin);
-        EXPECT_GT(s.end, s.begin);  // non-empty
-        expect_begin = s.end;
-      }
-      EXPECT_EQ(expect_begin, n);
-      // Balanced: sizes differ by at most one.
-      NodeId lo = n, hi = 0;
-      for (const auto& s : shards) {
-        lo = std::min(lo, s.size());
-        hi = std::max(hi, s.size());
-      }
-      EXPECT_LE(hi - lo, 1u);
-    }
-  }
-}
-
-// ------------------------------------- partition_nodes (degree-weighted)
-
 /// Contiguous, non-empty, ascending cover of [0, n) — the structural
 /// invariants every weighted cut must preserve.
 void expect_partition_invariants(const std::vector<ShardRange>& shards,
@@ -100,6 +46,60 @@ void expect_partition_invariants(const std::vector<ShardRange>& shards,
   }
   EXPECT_EQ(expect_begin, n);
 }
+
+std::vector<ShardRange> partition_unit(NodeId n, unsigned shards) {
+  const std::vector<std::uint64_t> w(n, 1);
+  return partition_nodes(n, shards, w);
+}
+
+TEST(PartitionNodes, BalancedContiguousCover) {
+  const auto shards = partition_unit(10, 3);
+  ASSERT_EQ(shards.size(), 3u);
+  EXPECT_EQ(shards[0], (ShardRange{0, 3}));  // cut at floor(10 / 3)
+  EXPECT_EQ(shards[1], (ShardRange{3, 6}));  // cut at floor(20 / 3)
+  EXPECT_EQ(shards[2], (ShardRange{6, 10}));
+}
+
+TEST(PartitionNodes, EvenSplit) {
+  const auto shards = partition_unit(8, 4);
+  ASSERT_EQ(shards.size(), 4u);
+  for (unsigned s = 0; s < 4; ++s)
+    EXPECT_EQ(shards[s], (ShardRange{2 * s, 2 * s + 2}));
+}
+
+TEST(PartitionNodes, FewerNodesThanShards) {
+  // Never more than one shard per node: n < threads collapses to n
+  // singleton shards, all non-empty.
+  const auto shards = partition_unit(3, 8);
+  ASSERT_EQ(shards.size(), 3u);
+  for (NodeId v = 0; v < 3; ++v) EXPECT_EQ(shards[v], (ShardRange{v, v + 1}));
+}
+
+TEST(PartitionNodes, SingleNodeAndSingleShard) {
+  EXPECT_EQ(partition_unit(1, 8), (std::vector<ShardRange>{{0, 1}}));
+  EXPECT_EQ(partition_unit(5, 1), (std::vector<ShardRange>{{0, 5}}));
+  // A zero shard request clamps to one.
+  EXPECT_EQ(partition_unit(5, 0), (std::vector<ShardRange>{{0, 5}}));
+}
+
+TEST(PartitionNodes, CoversEveryNodeExactlyOnce) {
+  for (const NodeId n : {1u, 2u, 7u, 64u, 1001u}) {
+    for (const unsigned t : {1u, 2u, 3u, 8u, 64u}) {
+      const auto shards = partition_unit(n, t);
+      expect_partition_invariants(shards, n, t);
+      EXPECT_EQ(shards.size(), std::min<std::size_t>(t, n));
+      // Balanced: with unit weights, sizes differ by at most one.
+      NodeId lo = n, hi = 0;
+      for (const auto& s : shards) {
+        lo = std::min(lo, s.size());
+        hi = std::max(hi, s.size());
+      }
+      EXPECT_LE(hi - lo, 1u);
+    }
+  }
+}
+
+// ------------------------------------- partition_nodes (skewed weights)
 
 TEST(PartitionNodesWeighted, StarHubGetsASingletonShard) {
   // Star on 12 nodes, hub first: weights deg + 1 = {12, 2, 2, ...}. The
@@ -123,7 +123,7 @@ TEST(PartitionNodesWeighted, StarHubGetsASingletonShard) {
 TEST(PartitionNodesWeighted, UniformWeightsMatchUniformCuts) {
   const NodeId n = 64;
   const std::vector<std::uint64_t> w(n, 5);
-  EXPECT_EQ(partition_nodes(n, 8, w), partition_nodes(n, 8));
+  EXPECT_EQ(partition_nodes(n, 8, w), partition_unit(n, 8));
 }
 
 TEST(PartitionNodesWeighted, FewerNodesThanShards) {
@@ -214,8 +214,8 @@ TEST(ExecPool, SingleLaneRunsInline) {
 
 /// Chatty deterministic workload: every node records its full delivery log
 /// (round, from, edge, payload) and keeps sending pseudo-random values over
-/// pseudo-randomly skipped edges — exercising both send-resolution paths,
-/// the per-node RNG streams, and rounds where many inboxes are empty.
+/// pseudo-randomly skipped edges — exercising the send path, the per-node
+/// RNG streams, and rounds where many inboxes are empty.
 class ChatterProbe final : public NodeProgram {
  public:
   ChatterProbe(NodeId self, unsigned active) : self_(self), active_(active) {}
@@ -281,9 +281,8 @@ void expect_identical(const ChatterResult& a, const ChatterResult& b) {
 
 TEST(ParallelNetwork, BitIdenticalAcrossThreadCountsOnEveryFamily) {
   // The determinism suite: dense (ER), sparse (tree) and skewed
-  // (power-law) families, each run at 1, 2 and 8 lanes and under both
-  // shard-balance modes — RunStats, Metrics and every per-node delivery
-  // log must be bit-identical throughout.
+  // (power-law) families, each run at 1, 2 and 8 lanes — RunStats, Metrics
+  // and every per-node delivery log must be bit-identical throughout.
   util::Xoshiro256 dense_rng(123), sparse_rng(124), skew_rng(125);
   const Graph dense = graph::erdos_renyi_gnm(97, 400, dense_rng);  // odd n
   const Graph sparse = graph::random_tree(101, sparse_rng);
@@ -291,13 +290,8 @@ TEST(ParallelNetwork, BitIdenticalAcrossThreadCountsOnEveryFamily) {
   for (const Graph* g : {&dense, &sparse, &skewed}) {
     const auto seq = run_chatter(*g, {1});
     EXPECT_GT(seq.stats.messages, 0u);
-    for (const unsigned threads : {2u, 8u}) {
-      for (const ShardBalance balance :
-           {ShardBalance::Uniform, ShardBalance::Degree}) {
-        const auto par = run_chatter(*g, {threads, balance});
-        expect_identical(seq, par);
-      }
-    }
+    for (const unsigned threads : {2u, 8u})
+      expect_identical(seq, run_chatter(*g, {threads}));
   }
 }
 
