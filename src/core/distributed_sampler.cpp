@@ -445,6 +445,13 @@ class SamplerNode final : public sim::NodeProgram {
       if (decision.list) detail::erase_sorted(root_pool_, *decision.list);
       apply->push_back(std::move(decision));
     }
+    // Every queried edge leaves the pool, whatever its reply decided: the
+    // responder's list lacks the edge when its side peeled it first.
+    std::vector<EdgeId> vias;
+    vias.reserve(collect_acc_->size());
+    for (const Found& f : *collect_acc_) vias.push_back(f.via);
+    std::sort(vias.begin(), vias.end());
+    detail::erase_sorted(root_pool_, vias);
     collect_acc_.reset();
     echo_kind_ = EchoKind::None;
     pending_apply_ = std::move(apply);
@@ -725,6 +732,13 @@ class SamplerNode final : public sim::NodeProgram {
       }
       if (f.list) peel_list(*f.list);
     }
+    // Then the edges this member's replies came over (the root erased
+    // them from its pool model too), ascending so the pool order is a
+    // function of the reply set.
+    std::sort(replied_slots_.begin(), replied_slots_.end());
+    for (const std::size_t s : replied_slots_)
+      pool_swap_remove(pool_, pool_pos_, s);
+    replied_slots_.clear();
   }
 
   void finalize_level_record(JoinDecision decision) {
@@ -793,6 +807,7 @@ class SamplerNode final : public sim::NodeProgram {
       f.via = msg.edge();
       f.list = r->boundary;
       found_buffer_.push_back(std::move(f));
+      replied_slots_.push_back(slot_of(msg.edge()));
       return;
     }
     if (sim::payload_if<MsgCenterQuery>(msg) != nullptr) {
@@ -925,6 +940,7 @@ class SamplerNode final : public sim::NodeProgram {
 
   // trial buffers
   std::vector<Found> found_buffer_;
+  std::vector<std::size_t> replied_slots_;  // slots replies arrived over
   std::vector<CenterFound> center_buffer_;
   std::shared_ptr<std::vector<Found>> pending_apply_;
 

@@ -190,6 +190,26 @@ TEST(DistributedSampler, LevelDiagnosticsConsistent) {
   }
 }
 
+TEST(DistributedSampler, PaperConstantsLeaveNoNeitherNode) {
+  // With the paper's constants on a clique, every trial's sampling rate
+  // makes each cluster Light or Heavy. A Neither node here means an edge
+  // never left the querier's pool: a reply whose boundary list lacks the
+  // edge it arrived over (the responder had already peeled it) must still
+  // take that edge out of the querier's pool, or it is queried again in
+  // every trial and the pool never empties.
+  const Graph g = graph::complete(64);
+  for (const unsigned k : {1u, 2u}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      auto cfg = SamplerConfig::paper_faithful(k, 2, seed);
+      cfg.congest = sim::CongestConfig{};  // LOCAL, whatever the env says
+      const auto run = core::run_distributed_sampler(g, cfg);
+      for (const auto& lt : run.levels)
+        EXPECT_EQ(lt.neither, 0u)
+            << "k=" << k << " seed=" << seed << " level " << lt.level;
+    }
+  }
+}
+
 TEST(DistributedSampler, WorksOnTrees) {
   util::Xoshiro256 rng(29);
   const Graph g = graph::random_tree(120, rng);
@@ -281,8 +301,8 @@ TEST(DistributedSampler, OutputFingerprintPinned) {
   const std::vector<std::pair<unsigned, unsigned>> kh_tiny = {{1, 1}};
   // Rows follow `graphs`; columns are the budgets LOCAL, 2 and 8 words.
   const std::uint64_t want[5][3] = {
-      {0x0357e85e68df6c5dull, 0x7ad3d2d706cd8c41ull, 0xca50e782fff48739ull},
-      {0x81372342a31fad9dull, 0x66982a2d556613ddull, 0x9e90b5b78d09e471ull},
+      {0xc170e52459bb8029ull, 0xd73d3b87158dab55ull, 0x3b318c2c1735b48dull},
+      {0x8c382dd0970d751dull, 0x8d0979ea3996d5f5ull, 0xf557f873ac502d49ull},
       {0xa0815743a97ac4b9ull, 0x993837c1fcd0571dull, 0xcd750454c111dca1ull},
       {0xb8fe8e8dd57dff01ull, 0xe4e84377a9e1a715ull, 0x49d9319d179fb8e1ull},
       {0x5f930029372fc9a9ull, 0x4a4656ace343d281ull, 0x38600917aa02bf15ull},
