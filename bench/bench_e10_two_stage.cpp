@@ -15,7 +15,7 @@
 #include "localsim/tlocal_broadcast.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
+int fl_main(int argc, char** argv) {
   using namespace fl;
   const auto env = bench::Env::parse(util::Options(argc, argv));
   const graph::NodeId n = env.quick ? 512 : 1024;

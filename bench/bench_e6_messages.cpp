@@ -14,7 +14,7 @@
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
+int fl_main(int argc, char** argv) {
   using namespace fl;
   const util::Options opt(argc, argv);
   const auto env = bench::Env::parse(opt, {"congest"});

@@ -354,7 +354,7 @@ int run_delivery_bench(const bench::Env& env, unsigned threads) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int fl_main(int argc, char** argv) {
   // --threads N sets the parallel column's lane count (default 8); the
   // sequential flat column always runs single-threaded. --capacity runs
   // the capacity rows *instead* of the delivery sweep: peak RSS is a

@@ -17,7 +17,7 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int fl_main(int argc, char** argv) {
   using namespace fl;
   const util::Options opt(argc, argv);
   opt.require_known({"n", "deg", "k", "queries", "seed"});

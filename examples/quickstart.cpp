@@ -16,7 +16,7 @@
 #include "util/table.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
+int fl_main(int argc, char** argv) {
   using namespace fl;
   const util::Options opt(argc, argv);
   opt.require_known({"n", "deg", "k", "h", "seed"});

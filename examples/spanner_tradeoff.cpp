@@ -18,7 +18,7 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int fl_main(int argc, char** argv) {
   using namespace fl;
   const util::Options opt(argc, argv);
   opt.require_known({"n", "deg", "seed"});

@@ -1,19 +1,38 @@
 #include "util/options.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
-#include "util/assert.hpp"
-
 namespace fl::util {
+
+namespace {
+
+void usage_check(bool ok, const std::string& message) {
+  if (!ok) throw UsageError(message);
+}
+
+/// Signed base-10 integer spanning all of `text`; out-of-range values throw
+/// instead of saturating. `what` names the option in every diagnostic.
+std::int64_t parse_int(const std::string& text, const std::string& what) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  usage_check(!text.empty() && end && *end == '\0',
+              what + " expects an integer, got '" + text + "'");
+  usage_check(errno != ERANGE, what + ": '" + text + "' is out of range");
+  return v;
+}
+
+}  // namespace
 
 Options::Options(int argc, const char* const* argv) {
   FL_REQUIRE(argc >= 1, "argv must contain the program name");
   program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    FL_REQUIRE(arg.rfind("--", 0) == 0,
-               "options must start with '--' (got '" + arg + "')");
+    usage_check(arg.rfind("--", 0) == 0,
+                "options must start with '--' (got '" + arg + "')");
     arg = arg.substr(2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
@@ -40,21 +59,25 @@ std::int64_t Options::get_int(const std::string& name,
                               std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  FL_REQUIRE(end && *end == '\0',
-             "option --" + name + " expects an integer, got '" + it->second + "'");
-  return v;
+  return parse_int(it->second, "option --" + name);
 }
 
 std::uint64_t Options::get_uint(const std::string& name, std::uint64_t fallback,
                                 std::uint64_t max) const {
-  if (!has(name)) return fallback;
-  const std::int64_t v = get_int(name, 0);
-  FL_REQUIRE(v >= 0 && static_cast<std::uint64_t>(v) <= max,
-             "option --" + name + " must be in [0, " + std::to_string(max) +
-                 "], got '" + values_.at(name) + "'");
-  return static_cast<std::uint64_t>(v);
+  const auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  const std::string range = "option --" + name + " must be in [0, " +
+                            std::to_string(max) + "], got '" + text + "'";
+  // strtoull would wrap a negative value into a huge count.
+  usage_check(text.find('-') == std::string::npos, range);
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+  usage_check(!text.empty() && end && *end == '\0',
+              "option --" + name + " expects an integer, got '" + text + "'");
+  usage_check(errno != ERANGE && v <= max, range);
+  return v;
 }
 
 double Options::get_double(const std::string& name, double fallback) const {
@@ -62,8 +85,9 @@ double Options::get_double(const std::string& name, double fallback) const {
   if (it == values_.end()) return fallback;
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
-  FL_REQUIRE(end && *end == '\0',
-             "option --" + name + " expects a number, got '" + it->second + "'");
+  usage_check(end && *end == '\0', "option --" + name +
+                                       " expects a number, got '" +
+                                       it->second + "'");
   return v;
 }
 
@@ -73,8 +97,7 @@ bool Options::get_bool(const std::string& name, bool fallback) const {
   const std::string& v = it->second;
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  FL_REQUIRE(false, "option --" + name + " expects a boolean, got '" + v + "'");
-  return fallback;  // unreachable
+  throw UsageError("option --" + name + " expects a boolean, got '" + v + "'");
 }
 
 std::vector<std::int64_t> Options::get_int_list(
@@ -86,11 +109,8 @@ std::vector<std::int64_t> Options::get_int_list(
   const std::string& s = it->second;
   for (std::size_t i = 0; i <= s.size(); ++i) {
     if (i == s.size() || s[i] == ',') {
-      FL_REQUIRE(!token.empty(), "option --" + name + ": empty list element");
-      char* end = nullptr;
-      out.push_back(std::strtoll(token.c_str(), &end, 10));
-      FL_REQUIRE(end && *end == '\0',
-                 "option --" + name + ": bad integer '" + token + "'");
+      usage_check(!token.empty(), "option --" + name + ": empty list element");
+      out.push_back(parse_int(token, "option --" + name));
       token.clear();
     } else {
       token += s[i];
@@ -103,7 +123,7 @@ void Options::require_known(const std::vector<std::string>& accepted) const {
   std::string list;
   for (const std::string& a : accepted) list += " --" + a;
   for (const auto& [name, value] : values_)
-    FL_REQUIRE(
+    usage_check(
         std::find(accepted.begin(), accepted.end(), name) != accepted.end(),
         "unknown option --" + name + " (accepted:" + list + ")");
 }

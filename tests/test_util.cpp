@@ -229,6 +229,24 @@ TEST(Options, RejectsUnknownFlagsAndOutOfRangeCounts) {
   EXPECT_EQ(opt.get_uint("n", 0, 5), 5u);
   EXPECT_THROW(opt.get_uint("n", 0, 4), ContractViolation);
   EXPECT_EQ(opt.get_uint("missing", 7), 7u);
+
+  // Out-of-range integers throw naming the option instead of saturating,
+  // and every seed in [0, 2^64) is accepted.
+  const char* big[] = {"prog", "--seed", "99999999999999999999",
+                       "--top", "18446744073709551615",
+                       "--list=1,99999999999999999999"};
+  Options wide(6, big);
+  EXPECT_THROW(wide.get_uint("seed", 1), ContractViolation);
+  EXPECT_THROW(wide.get_int_list("list", {}), ContractViolation);
+  try {
+    wide.get_int("seed", 1);
+    ADD_FAILURE() << "an out-of-range --seed was accepted";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--seed"), std::string::npos) << what;
+    EXPECT_NE(what.find("out of range"), std::string::npos) << what;
+  }
+  EXPECT_EQ(wide.get_uint("top", 1), 18446744073709551615ull);
 }
 
 }  // namespace
