@@ -77,10 +77,6 @@ double SamplerConfig::center_prob(double n, unsigned level) const {
   return std::pow(n, -expo);
 }
 
-double SamplerConfig::round_bound_scale() const {
-  return pow3(k) * static_cast<double>(h);
-}
-
 void SamplerConfig::validate(std::size_t n) const {
   FL_REQUIRE(n >= 2, "Sampler needs n >= 2");
   FL_REQUIRE(k >= 1, "Sampler needs k >= 1");

@@ -82,9 +82,6 @@ struct SamplerConfig {
   /// Predicted message exponent (Theorem 11): Õ(n^{1+δ+ε}).
   double message_exponent() const { return 1.0 + delta() + epsilon(); }
 
-  /// Predicted round bound (Theorem 11): O(3^k · h).
-  double round_bound_scale() const;
-
   /// Validate against a concrete n; throws on out-of-range parameters.
   void validate(std::size_t n) const;
 

@@ -22,10 +22,4 @@ std::size_t HierarchyTrace::total_query_edges() const {
   return total;
 }
 
-std::size_t HierarchyTrace::total_trials() const {
-  std::size_t total = 0;
-  for (const auto& l : levels) total += l.trials_run_total;
-  return total;
-}
-
 }  // namespace fl::core

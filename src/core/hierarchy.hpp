@@ -66,7 +66,6 @@ struct HierarchyTrace {
   std::vector<std::vector<graph::NodeId>> phys_cluster_at;
 
   std::size_t total_query_edges() const;
-  std::size_t total_trials() const;
 };
 
 }  // namespace fl::core

@@ -46,12 +46,6 @@ struct Metrics {
       if (v > best) best = v;
     return best;
   }
-
-  double avg_messages_per_round() const {
-    if (messages_per_round.empty()) return 0.0;
-    return static_cast<double>(messages_total) /
-           static_cast<double>(messages_per_round.size());
-  }
 };
 
 /// Result of Network::run().

@@ -1,13 +1,12 @@
 // Fine-grained tests for the distributed Sampler's phase schedule — the
 // deterministic timetable that realizes Theorem 11's round bound — plus the
-// logging/timer utility surface.
+// timer utility surface.
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "core/config.hpp"
 #include "core/distributed_sampler.hpp"
-#include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace fl {
@@ -102,14 +101,6 @@ TEST(Schedule, GrowsGeometricallyWithK) {
     EXPECT_GT(sched.total_rounds, prev);
     prev = sched.total_rounds;
   }
-}
-
-TEST(Log, LevelFilterWorks) {
-  const auto saved = util::log_level();
-  util::set_log_level(util::LogLevel::Error);
-  EXPECT_EQ(util::log_level(), util::LogLevel::Error);
-  FL_LOG(Debug) << "this line must be filtered";  // no crash, no output
-  util::set_log_level(saved);
 }
 
 TEST(Timer, MeasuresElapsedTime) {
