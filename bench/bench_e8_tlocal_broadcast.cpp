@@ -25,7 +25,7 @@ int fl_main(int argc, char** argv) {
   // Lemma 12 states O(3^γ·t + 6^γ) rounds; the concrete constant of the
   // construction is α·t + (spanner rounds), α = 2·3^γ − 1.
   util::Table table({"γ", "t", "α=2·3^γ-1", "round bound α·t+6^γ",
-                     "bcast rounds", "bcast msgs", "native msgs",
+                     "bcast rounds", "bcast msgs", "bcast words", "native msgs",
                      "bcast/native"});
 
   for (unsigned gamma = 1; gamma <= 2; ++gamma) {
@@ -43,7 +43,7 @@ int fl_main(int argc, char** argv) {
           spanner.stretch_bound * t + std::pow(6.0, gamma);
       table.add(gamma, t, spanner.stretch_bound, round_bound,
                 reduced.stats.rounds, reduced.stats.messages,
-                native.stats.messages,
+                reduced.metrics.words_total, native.stats.messages,
                 util::fixed(static_cast<double>(reduced.stats.messages) /
                                 static_cast<double>(native.stats.messages),
                             3));

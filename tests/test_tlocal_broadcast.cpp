@@ -8,6 +8,8 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "localsim/tlocal_broadcast.hpp"
+#include "sim/congest.hpp"
+#include "trace_hash.hpp"
 #include "util/rng.hpp"
 
 namespace fl {
@@ -114,6 +116,73 @@ TEST(TLocalBroadcast, RingDistancesExact) {
       localsim::run_tlocal_broadcast(g, localsim::all_edges(g), 5, 37);
   for (NodeId v = 0; v < g.num_nodes(); ++v)
     EXPECT_EQ(run.reached[v].size(), 11u);  // 5 left + 5 right + self
+}
+
+TEST(TLocalBroadcast, AccountingPinned) {
+  // Every count the flood reports, pinned before any change to how a
+  // bundle's origins are stored or merged: messages, words, rounds,
+  // deferrals and a hash of every reached set. Each budget is passed
+  // explicitly, so an FL_SIM_CONGEST environment cannot move the values.
+  // ring(130) has n not a multiple of 64; the ER graph at t=3 carries
+  // bundles large and small, and the Defer budgets take the hop-budget
+  // improvement path with and without the re-forward dedup.
+  struct Budget {
+    sim::CongestConfig congest;
+    bool dedup;
+  };
+  const Budget budgets[] = {
+      {sim::CongestConfig{}, true},
+      {sim::CongestConfig{1, sim::CongestPolicy::Defer}, true},
+      {sim::CongestConfig{1, sim::CongestPolicy::Defer}, false},
+      {sim::CongestConfig{4, sim::CongestPolicy::Defer}, true},
+      {sim::CongestConfig{4, sim::CongestPolicy::Defer}, false},
+  };
+  struct Pinned {
+    std::uint64_t messages, words, rounds, deferrals, reached_hash;
+  };
+  const Pinned pinned[] = {
+      // erdos_renyi_gnm(120, 500), t = 3
+      {3000, 62325, 4, 0, 0x38e4541caee4b0e6ull},
+      {8584, 62226, 94, 211767, 0x38e4541caee4b0e6ull},
+      {7995, 62325, 94, 186375, 0x38e4541caee4b0e6ull},
+      {5122, 62308, 25, 27050, 0x38e4541caee4b0e6ull},
+      {4975, 62325, 25, 25673, 0x38e4541caee4b0e6ull},
+      // ring(130), t = 6
+      {1560, 2860, 7, 0, 0xbdcda17716eeee44ull},
+      {1560, 2860, 12, 1300, 0xbdcda17716eeee44ull},
+      {1560, 2860, 12, 1300, 0xbdcda17716eeee44ull},
+      {1560, 2860, 7, 0, 0xbdcda17716eeee44ull},
+      {1560, 2860, 7, 0, 0xbdcda17716eeee44ull},
+  };
+  util::Xoshiro256 rng(3);
+  const Graph er = graph::erdos_renyi_gnm(120, 500, rng);
+  const Graph ring = graph::ring(130);
+  struct Input {
+    const Graph* g;
+    unsigned t;
+  };
+  const Input inputs[] = {{&er, 3}, {&ring, 6}};
+  std::size_t row = 0;
+  for (const Input& in : inputs) {
+    for (const Budget& b : budgets) {
+      const auto run = localsim::run_tlocal_broadcast(
+          *in.g, localsim::all_edges(*in.g), in.t, 41, b.congest, b.dedup);
+      testing::TraceHash h;
+      for (const auto& set : run.reached) {
+        h.u64(set.size());
+        for (const NodeId u : set) h.u64(u);
+      }
+      const Pinned& want = pinned[row++];
+      SCOPED_TRACE(in.g->summary() + " budget " +
+                   std::to_string(b.congest.words_per_edge_per_round) +
+                   (b.dedup ? " dedup" : " no-dedup"));
+      EXPECT_EQ(run.stats.messages, want.messages);
+      EXPECT_EQ(run.metrics.words_total, want.words);
+      EXPECT_EQ(run.stats.rounds, want.rounds);
+      EXPECT_EQ(run.metrics.deferrals_total, want.deferrals);
+      EXPECT_EQ(h.value(), want.reached_hash);
+    }
+  }
 }
 
 }  // namespace
