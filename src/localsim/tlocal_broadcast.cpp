@@ -1,6 +1,8 @@
 #include "localsim/tlocal_broadcast.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -15,8 +17,44 @@ using graph::NodeId;
 
 namespace {
 
+/// One round's worth of origins a node forwards, shared by every subset
+/// edge it goes out on. It takes one of two forms, chosen by its own size
+/// alone: a dense bitmap over [0, n) once count · 32 >= n (so the bitmap is
+/// never larger than the id list it replaces), otherwise the id list. The
+/// order of ids inside a bundle is not observable: a receiver treats each
+/// id on its own, and words count origins in either form.
+struct Bundle {
+  std::uint32_t count = 0;
+  std::vector<NodeId> ids;          ///< sparse form (empty when dense)
+  std::vector<std::uint64_t> bits;  ///< dense form (empty when sparse)
+
+  template <typename F>
+  void for_each(F&& f) const {
+    if (bits.empty()) {
+      for (const NodeId id : ids) f(id);
+      return;
+    }
+    for (std::size_t w = 0; w < bits.size(); ++w)
+      for (std::uint64_t x = bits[w]; x != 0; x &= x - 1)
+        f(static_cast<NodeId>(w * 64 + std::countr_zero(x)));
+  }
+};
+
+std::shared_ptr<const Bundle> make_bundle(std::vector<NodeId> ids, NodeId n) {
+  auto b = std::make_shared<Bundle>();
+  b->count = static_cast<std::uint32_t>(ids.size());
+  if (std::uint64_t{b->count} * 32 >= n) {
+    b->bits.assign((n + 63) / 64, 0);
+    for (const NodeId id : ids)
+      b->bits[id / 64] |= std::uint64_t{1} << (id % 64);
+  } else {
+    b->ids = std::move(ids);
+  }
+  return b;
+}
+
 struct MsgOrigins {
-  std::shared_ptr<const std::vector<NodeId>> origins;
+  std::shared_ptr<const Bundle> bundle;
   /// How many further hops this bundle's origins may still travel. In
   /// LOCAL mode a bundle arriving in round r always carries R - r (rounds
   /// and hops coincide), so the field is redundant there; under a CONGEST
@@ -25,18 +63,26 @@ struct MsgOrigins {
 };
 
 // One MsgOrigins per subset edge per round is the transformer's hot path;
-// the shared list head must stay in the payload's inline buffer.
+// the shared bundle head must stay in the payload's inline buffer.
 static_assert(sim::Payload::stores_inline<MsgOrigins>);
 
 /// Per-node flooding program over a fixed incident edge subset. Each round
 /// a node bundles everything it learned last round into one message per
-/// subset edge — the LOCAL-model accounting of Lemma 12. Forwarding is
-/// governed by per-origin hop budgets, which equals the seed's
-/// round-counter cutoff in LOCAL mode (first arrival is the BFS-shortest
-/// path, so it always carries the maximal budget) but stays correct when a
-/// CONGEST budget delays bundles: a copy arriving later with a *larger*
-/// remaining budget is re-forwarded, so coverage is exactly B_{H,R}(v)
-/// under any delivery schedule.
+/// subset edge — the LOCAL-model accounting of Lemma 12 — as a bitmap or an
+/// id list by the bundle's size (see Bundle); a message's words are its
+/// origin count either way. Forwarding is governed by per-origin hop
+/// budgets, which equals the seed's round-counter cutoff in LOCAL mode
+/// (first arrival is the BFS-shortest path, so it always carries the
+/// maximal budget) but stays correct when a CONGEST budget delays bundles:
+/// a copy arriving later with a *larger* remaining budget is re-forwarded,
+/// so coverage is exactly B_{H,R}(v) under any delivery schedule.
+///
+/// Merging is set arithmetic on the `known_` bitmap: a bundle whose budget
+/// does not exceed the smallest budget the node has recorded cannot improve
+/// any known origin, so only its unknown origins count (a dense bundle is
+/// merged 64 origins at a time, `bits & ~known_`). Only a larger budget —
+/// the improvement path of a binding CONGEST budget, never taken in LOCAL
+/// mode — compares hop budgets origin by origin.
 class FloodNode final : public sim::NodeProgram {
  public:
   FloodNode(NodeId self, std::shared_ptr<const std::vector<bool>> edge_in,
@@ -44,24 +90,24 @@ class FloodNode final : public sim::NodeProgram {
       : self_(self), edge_in_(std::move(edge_in)), rounds_(rounds), n_(n),
         dedup_reforward_(dedup_reforward) {}
 
-  /// The origins this node has heard of, ascending: read off `best_hops_`,
-  /// whose known entries are exactly those >= 0.
+  /// The origins this node has heard of, ascending: read off `known_`.
   std::vector<NodeId> known_sorted() const {
     std::vector<NodeId> out;
-    for (NodeId u = 0; u < best_hops_.size(); ++u)
-      if (best_hops_[u] >= 0) out.push_back(u);
+    for (std::size_t w = 0; w < known_.size(); ++w)
+      for (std::uint64_t x = known_[w]; x != 0; x &= x - 1)
+        out.push_back(static_cast<NodeId>(w * 64 + std::countr_zero(x)));
     return out;
   }
 
   void on_start(sim::Context& ctx) override {
+    known_.assign((n_ + 63) / 64, 0);
     best_hops_.assign(n_, -1);
-    best_hops_[self_] = static_cast<std::int32_t>(rounds_);
+    record(self_, static_cast<std::int32_t>(rounds_));
     if (rounds_ == 0) {
       finished_ = true;
       return;
     }
-    auto batch = std::make_shared<const std::vector<NodeId>>(1, self_);
-    send_over_subset(ctx, batch, rounds_ - 1);
+    send_over_subset(ctx, make_bundle({self_}, n_), rounds_ - 1);
   }
 
   void on_round(sim::Context& ctx, sim::InboxView inbox) override {
@@ -72,7 +118,8 @@ class FloodNode final : public sim::NodeProgram {
     // LOCAL mode every arrival of a round carries the same hop budget and
     // no skip (exactly one group, found without a tree in the
     // transformer's hot path), and under a budget the handful of distinct
-    // keys keeps the linear scan trivial.
+    // keys keeps the linear scan trivial. A group is created by its first
+    // id, so no empty bundle is ever sent.
     //
     // The skip key is the re-forward dedup: when an origin arrives as an
     // *improvement* (already known, larger remaining budget — which only
@@ -94,16 +141,39 @@ class FloodNode final : public sim::NodeProgram {
     };
     for (const auto& m : inbox) {
       const auto& o = sim::payload_as<MsgOrigins>(m);
+      const Bundle& b = *o.bundle;
       const auto hops = static_cast<std::int32_t>(o.hops_left);
-      for (const NodeId id : *o.origins) {
-        if (hops <= best_hops_[id]) continue;
-        const bool improvement = best_hops_[id] >= 0;
-        best_hops_[id] = hops;
-        if (hops >= 1)
-          bucket(static_cast<std::uint32_t>(hops - 1),
-                 improvement && dedup_reforward_ ? m.edge()
-                                                 : graph::kInvalidEdge)
-              .push_back(id);
+      if (hops > min_hops_) {
+        // Improvement path: some known origin may gain budget.
+        b.for_each([&](NodeId id) {
+          const bool improvement = is_known(id);
+          if (improvement && hops <= best_hops_[id]) return;
+          record(id, hops);
+          if (hops >= 1)
+            bucket(static_cast<std::uint32_t>(hops - 1),
+                   improvement && dedup_reforward_ ? m.edge()
+                                                   : graph::kInvalidEdge)
+                .push_back(id);
+        });
+        continue;
+      }
+      // No known origin can improve: learn the unknown ones.
+      std::vector<NodeId>* out = nullptr;
+      auto learn = [&](NodeId id) {
+        record(id, hops);
+        if (hops < 1) return;
+        if (out == nullptr)
+          out = &bucket(static_cast<std::uint32_t>(hops - 1),
+                        graph::kInvalidEdge);
+        out->push_back(id);
+      };
+      if (b.bits.empty()) {
+        for (const NodeId id : b.ids)
+          if (!is_known(id)) learn(id);
+      } else {
+        for (std::size_t w = 0; w < b.bits.size(); ++w)
+          for (std::uint64_t x = b.bits[w] & ~known_[w]; x != 0; x &= x - 1)
+            learn(static_cast<NodeId>(w * 64 + std::countr_zero(x)));
       }
     }
     // The done-state schedule is untouched by congestion: after `rounds_`
@@ -116,15 +186,14 @@ class FloodNode final : public sim::NodeProgram {
     }
     // Largest remaining budget first, ties broken by skipped-edge id — a
     // fixed, lane-independent order ((hops, skip) keys are unique, so the
-    // sort is deterministic).
+    // sort is deterministic). It fixes each edge's FIFO order under a
+    // budget.
     std::sort(fresh.begin(), fresh.end(), [](const Group& a, const Group& b) {
       return a.hops != b.hops ? a.hops > b.hops : a.skip < b.skip;
     });
-    for (auto& grp : fresh) {
-      auto batch =
-          std::make_shared<const std::vector<NodeId>>(std::move(grp.ids));
-      send_over_subset(ctx, batch, grp.hops, grp.skip);
-    }
+    for (auto& grp : fresh)
+      send_over_subset(ctx, make_bundle(std::move(grp.ids), n_), grp.hops,
+                       grp.skip);
   }
 
   bool done() const override { return finished_; }
@@ -134,14 +203,23 @@ class FloodNode final : public sim::NodeProgram {
   }
 
  private:
+  bool is_known(NodeId id) const {
+    return (known_[id / 64] >> (id % 64)) & 1;
+  }
+
+  void record(NodeId id, std::int32_t hops) {
+    known_[id / 64] |= std::uint64_t{1} << (id % 64);
+    best_hops_[id] = hops;
+    min_hops_ = std::min(min_hops_, hops);
+  }
+
   void send_over_subset(sim::Context& ctx,
-                        const std::shared_ptr<const std::vector<NodeId>>& batch,
+                        const std::shared_ptr<const Bundle>& bundle,
                         std::uint32_t hops_left,
                         EdgeId skip = graph::kInvalidEdge) {
     for (const EdgeId e : ctx.incident_edges()) {
       if (e == skip || !(*edge_in_)[e]) continue;
-      ctx.send(e, MsgOrigins{batch, hops_left},
-               static_cast<std::uint32_t>(batch->size()));
+      ctx.send(e, MsgOrigins{bundle, hops_left}, bundle->count);
     }
   }
 
@@ -152,10 +230,16 @@ class FloodNode final : public sim::NodeProgram {
   bool dedup_reforward_;
   unsigned send_round_ = 0;
   bool finished_ = false;
+  // known_ = the origins this node has heard of, one bit each; it is the
+  // node's reached set (known_sorted() scans it).
+  std::vector<std::uint64_t> known_;
   // best_hops_[u] = largest remaining hop budget this node has seen for
-  // origin u (-1 = never heard). In LOCAL mode it only ever improves once.
-  // It is also the node's reached set: known_sorted() scans it.
+  // origin u; meaningful where known_ is set. In LOCAL mode it only ever
+  // improves once.
   std::vector<std::int32_t> best_hops_;
+  // The smallest budget ever recorded in best_hops_: a bundle carrying no
+  // more than this cannot improve any known origin.
+  std::int32_t min_hops_ = std::numeric_limits<std::int32_t>::max();
 };
 
 }  // namespace
