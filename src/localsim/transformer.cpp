@@ -22,44 +22,47 @@ namespace {
 /// ball (shortest paths of length <= radius stay inside the ball); when
 /// coverage is violated the computed outputs may differ from the reference,
 /// which is exactly how a broken spanner manifests and what tests detect.
-std::vector<std::uint32_t> restricted_bfs(const Graph& g, NodeId center,
-                                          unsigned radius,
-                                          const std::vector<unsigned>& mask,
-                                          unsigned epoch) {
-  std::vector<std::uint32_t> dist(g.num_nodes(), kUnreachable);
-  if (mask[center] != epoch) return dist;
-  std::vector<NodeId> frontier{center};
+/// The search stops as soon as all `members` collected origins are settled.
+/// It writes into `dist` (kUnreachable everywhere on entry) and leaves in
+/// `order` every node it set, so the caller resets exactly those entries.
+void restricted_bfs(const Graph& g, NodeId center, unsigned radius,
+                    const std::vector<unsigned>& mask, unsigned epoch,
+                    std::size_t members, std::vector<std::uint32_t>& dist,
+                    std::vector<NodeId>& order) {
+  order.clear();
+  if (mask[center] != epoch) return;
   dist[center] = 0;
-  std::vector<NodeId> next;
-  for (unsigned d = 0; d < radius && !frontier.empty(); ++d) {
-    next.clear();
-    for (const NodeId v : frontier) {
-      for (const auto& inc : g.incident(v)) {
-        if (mask[inc.to] != epoch || dist[inc.to] != kUnreachable) continue;
-        dist[inc.to] = d + 1;
-        next.push_back(inc.to);
-      }
+  order.push_back(center);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const NodeId v = order[head];
+    if (order.size() == members || dist[v] == radius) return;
+    for (const auto& inc : g.incident(v)) {
+      if (mask[inc.to] != epoch || dist[inc.to] != kUnreachable) continue;
+      dist[inc.to] = dist[v] + 1;
+      order.push_back(inc.to);
     }
-    frontier.swap(next);
   }
-  return dist;
 }
 
-/// Evaluate the algorithm at every node from its collected origin set.
+/// Evaluate the algorithm at every node from its collected origin set. One
+/// distance buffer serves every centre.
 std::vector<std::uint64_t> evaluate_from_collections(
     const Graph& g, const LocalAlgorithm& alg, unsigned t,
     const std::vector<std::vector<NodeId>>& reached) {
   std::vector<std::uint64_t> out(g.num_nodes());
   std::vector<unsigned> mask(g.num_nodes(), 0);
+  std::vector<NodeId> order;
+  BallView ball;
+  ball.g = &g;
+  ball.radius = t;
+  ball.dist.assign(g.num_nodes(), kUnreachable);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const unsigned epoch = v + 1;
     for (const NodeId u : reached[v]) mask[u] = epoch;
-    BallView ball;
-    ball.g = &g;
     ball.center = v;
-    ball.radius = t;
-    ball.dist = restricted_bfs(g, v, t, mask, epoch);
+    restricted_bfs(g, v, t, mask, epoch, reached[v].size(), ball.dist, order);
     out[v] = alg.compute(ball);
+    for (const NodeId u : order) ball.dist[u] = kUnreachable;
   }
   return out;
 }
