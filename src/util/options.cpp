@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace fl::util {
@@ -83,11 +84,14 @@ std::uint64_t Options::get_uint(const std::string& name, std::uint64_t fallback,
 double Options::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  usage_check(end && *end == '\0', "option --" + name +
-                                       " expects a number, got '" +
-                                       it->second + "'");
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  usage_check(!text.empty() && end && *end == '\0',
+              "option --" + name + " expects a number, got '" + text + "'");
+  usage_check(errno != ERANGE && std::isfinite(v),
+              "option --" + name + ": '" + text + "' is out of range");
   return v;
 }
 

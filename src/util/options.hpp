@@ -44,6 +44,8 @@ class Options {
   std::uint64_t get_uint(
       const std::string& name, std::uint64_t fallback,
       std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
+  /// Finite number; an empty, malformed, non-finite (inf, nan) or
+  /// out-of-range value throws UsageError naming the option.
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 

@@ -210,6 +210,24 @@ TEST(Options, RejectsMalformedInput) {
   const char* bad2[] = {"prog", "--n", "abc"};
   Options opt(3, bad2);
   EXPECT_THROW(opt.get_int("n", 0), ContractViolation);
+
+  // A number must be given, finite and in range; each rejection names the
+  // option.
+  const char* reals[] = {"prog", "--empty=", "--huge", "1e999", "--tiny",
+                         "1e-999", "--inf", "inf", "--nan", "nan",
+                         "--half", "0.5"};
+  Options real(12, reals);
+  for (const char* name : {"empty", "huge", "tiny", "inf", "nan"}) {
+    try {
+      real.get_double(name, 1.0);
+      ADD_FAILURE() << "--" << name << " was accepted";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("--") + name), std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_DOUBLE_EQ(real.get_double("half", 1.0), 0.5);
 }
 
 TEST(Options, RejectsUnknownFlagsAndOutOfRangeCounts) {
