@@ -17,6 +17,15 @@ using graph::NodeId;
 
 namespace {
 
+void set_bit(std::vector<std::uint64_t>& bits, NodeId id) {
+  bits[id / 64] |= std::uint64_t{1} << (id % 64);
+}
+
+/// The id of the lowest set bit of word `x`, the w-th word of a bitmap.
+NodeId lowest_id(std::size_t w, std::uint64_t x) {
+  return static_cast<NodeId>(w * 64 + std::countr_zero(x));
+}
+
 /// One round's worth of origins a node forwards, shared by every subset
 /// edge it goes out on. It takes one of two forms, chosen by its own size
 /// alone: a dense bitmap over [0, n) once count · 32 >= n (so the bitmap is
@@ -36,7 +45,7 @@ struct Bundle {
     }
     for (std::size_t w = 0; w < bits.size(); ++w)
       for (std::uint64_t x = bits[w]; x != 0; x &= x - 1)
-        f(static_cast<NodeId>(w * 64 + std::countr_zero(x)));
+        f(lowest_id(w, x));
   }
 };
 
@@ -45,8 +54,7 @@ std::shared_ptr<const Bundle> make_bundle(std::vector<NodeId> ids, NodeId n) {
   b->count = static_cast<std::uint32_t>(ids.size());
   if (std::uint64_t{b->count} * 32 >= n) {
     b->bits.assign((n + 63) / 64, 0);
-    for (const NodeId id : ids)
-      b->bits[id / 64] |= std::uint64_t{1} << (id % 64);
+    for (const NodeId id : ids) set_bit(b->bits, id);
   } else {
     b->ids = std::move(ids);
   }
@@ -95,7 +103,7 @@ class FloodNode final : public sim::NodeProgram {
     std::vector<NodeId> out;
     for (std::size_t w = 0; w < known_.size(); ++w)
       for (std::uint64_t x = known_[w]; x != 0; x &= x - 1)
-        out.push_back(static_cast<NodeId>(w * 64 + std::countr_zero(x)));
+        out.push_back(lowest_id(w, x));
     return out;
   }
 
@@ -143,37 +151,27 @@ class FloodNode final : public sim::NodeProgram {
       const auto& o = sim::payload_as<MsgOrigins>(m);
       const Bundle& b = *o.bundle;
       const auto hops = static_cast<std::int32_t>(o.hops_left);
+      auto take = [&](NodeId id, bool improvement) {
+        record(id, hops);
+        if (hops >= 1)
+          bucket(static_cast<std::uint32_t>(hops - 1),
+                 improvement && dedup_reforward_ ? m.edge()
+                                                 : graph::kInvalidEdge)
+              .push_back(id);
+      };
       if (hops > min_hops_) {
-        // Improvement path: some known origin may gain budget.
+        // Some known origin may gain budget: compare origin by origin.
         b.for_each([&](NodeId id) {
           const bool improvement = is_known(id);
-          if (improvement && hops <= best_hops_[id]) return;
-          record(id, hops);
-          if (hops >= 1)
-            bucket(static_cast<std::uint32_t>(hops - 1),
-                   improvement && dedup_reforward_ ? m.edge()
-                                                   : graph::kInvalidEdge)
-                .push_back(id);
+          if (!improvement || hops > best_hops_[id]) take(id, improvement);
         });
-        continue;
-      }
-      // No known origin can improve: learn the unknown ones.
-      std::vector<NodeId>* out = nullptr;
-      auto learn = [&](NodeId id) {
-        record(id, hops);
-        if (hops < 1) return;
-        if (out == nullptr)
-          out = &bucket(static_cast<std::uint32_t>(hops - 1),
-                        graph::kInvalidEdge);
-        out->push_back(id);
-      };
-      if (b.bits.empty()) {
+      } else if (b.bits.empty()) {
         for (const NodeId id : b.ids)
-          if (!is_known(id)) learn(id);
+          if (!is_known(id)) take(id, false);
       } else {
         for (std::size_t w = 0; w < b.bits.size(); ++w)
           for (std::uint64_t x = b.bits[w] & ~known_[w]; x != 0; x &= x - 1)
-            learn(static_cast<NodeId>(w * 64 + std::countr_zero(x)));
+            take(lowest_id(w, x), false);
       }
     }
     // The done-state schedule is untouched by congestion: after `rounds_`
@@ -208,7 +206,7 @@ class FloodNode final : public sim::NodeProgram {
   }
 
   void record(NodeId id, std::int32_t hops) {
-    known_[id / 64] |= std::uint64_t{1} << (id % 64);
+    set_bit(known_, id);
     best_hops_[id] = hops;
     min_hops_ = std::min(min_hops_, hops);
   }

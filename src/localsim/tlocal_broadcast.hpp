@@ -9,6 +9,12 @@
 // Õ(t · n^{1+ε}) of Lemma 12; with H = G and R = t it is the Θ(t·m)
 // baseline.
 //
+// A bundle's origin set travels in one of two forms, chosen by its own
+// size: a bitmap over [0, n) when count · 32 >= n (never larger than the
+// list), else the id list. Either way a message's words are its origin
+// count, so the accounting is the same as an id list's; a node merges a
+// dense bundle 64 origins at a time against its known-origin bitmap.
+//
 // Under an enforced CONGEST budget (sim/congest.hpp) the same protocol
 // runs with per-hop budgets instead of the round counter: every origin
 // travels at most R hops, bundles are grouped by remaining hop budget, and
