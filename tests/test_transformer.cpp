@@ -55,12 +55,14 @@ TEST(Transformer, SimulatedMatchesReference) {
 }
 
 TEST(Transformer, SimulatedMatchesOnStructuredGraphs) {
-  // complete(48) and star(40) are the inputs whose evaluation settles every
-  // collected origin one level out, so the ball's BFS stops early.
+  // On complete(48), star(40) and ring(5) every collected origin lies
+  // within the payload's radius, so the ball's BFS stops as soon as the
+  // last one is settled: one level out on the first two, and on ring(5)
+  // only after the farthest node, which a stop one node early would miss.
   const auto cfg = SamplerConfig::paper_faithful(1, 2, 13);
   for (const Graph& g :
        {graph::grid(10, 10), graph::hypercube(6), graph::dumbbell(80, 6),
-        graph::complete(48), graph::star(40)}) {
+        graph::complete(48), graph::star(40), graph::ring(5)}) {
     for (const auto& alg : payloads()) {
       const auto sim = localsim::run_simulated(g, *alg, cfg);
       EXPECT_EQ(sim.outputs, localsim::run_reference(g, *alg))
